@@ -1,4 +1,4 @@
-// Ablations of the design choices called out in DESIGN.md:
+// Ablations of the solver's design choices:
 //   (1) gradient-synchronization scheme: sweep (paper) vs direct-neighbor
 //       vs global all-reduce — quality and traffic;
 //   (2) HVE replication rings: memory/replication/seams trade-off;

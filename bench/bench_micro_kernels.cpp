@@ -3,8 +3,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "backend/kernels.hpp"
+#include "common/crc32.hpp"
 #include "core/gradient_engine.hpp"
 #include "data/simulate.hpp"
 #include "fft/fft2d.hpp"
@@ -112,6 +114,38 @@ void BM_SpecimenSynthesis(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpecimenSynthesis)->Arg(128);
+
+// ---- integrity checksum: CRC-32 next to its memcpy ceiling ----
+// 4 KiB is a typical halo wire frame, 3 MiB one checkpoint shard. The
+// memcpy row over the same bytes is the bandwidth the CRC can at best
+// approach; `--benchmark_filter=Crc32` prints the pair.
+
+void BM_Crc32(benchmark::State& state) {
+  const auto n = static_cast<usize>(state.range(0));
+  std::vector<unsigned char> src(n);
+  for (usize i = 0; i < n; ++i) src[i] = static_cast<unsigned char>(i * 131u + 7u);
+  for (auto _ : state) {
+    std::uint32_t crc = crc32(src.data(), n);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(3 << 20);
+
+void BM_Crc32MemcpyCeiling(benchmark::State& state) {
+  const auto n = static_cast<usize>(state.range(0));
+  std::vector<unsigned char> src(n, 0x5A);
+  std::vector<unsigned char> dst(n);
+  for (auto _ : state) {
+    std::memcpy(dst.data(), src.data(), n);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_Crc32MemcpyCeiling)->Arg(4 << 10)->Arg(3 << 20);
 
 // ---- backend primitive benchmarks, one registration per kernel table ----
 // Calling the tables directly (instead of flipping the global dispatch)

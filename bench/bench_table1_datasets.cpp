@@ -1,6 +1,6 @@
 // Table I reproduction: dataset sizes for measurements and reconstructions
 // — the paper's two Lead Titanate datasets, plus the scaled repro datasets
-// this build actually reconstructs (DESIGN.md Sec. 2 substitution table).
+// this build actually reconstructs.
 #include "bench_util.hpp"
 
 using namespace ptycho;

@@ -7,8 +7,8 @@
 // beyond 54 GPUs on this dataset).
 //
 // Memory comes from the geometric memory model; runtimes from the
-// calibrated discrete-event schedule simulation (see DESIGN.md Sec. 2 and
-// EXPERIMENTS.md for what is calibrated vs predicted).
+// calibrated discrete-event schedule simulation (runtime/perfmodel.hpp says
+// what is calibrated vs predicted).
 #include "bench_util.hpp"
 #include "data/io.hpp"
 

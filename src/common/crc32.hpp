@@ -1,45 +1,24 @@
-// CRC-32 (IEEE 802.3 polynomial), incremental, table-driven.
+// CRC-32 (IEEE 802.3 reflected polynomial 0xEDB88320), incremental.
 //
 // One implementation shared by the two on-the-wire/on-disk integrity
 // layers: socket frame checksums (runtime/socket_transport.cpp) and
 // checkpoint file checksums (ckpt/serialize.cpp). The CRC is defined over
 // the byte stream, so it is endian-stable wherever the bytes themselves
 // are (the checkpoint format encodes scalars explicitly little-endian).
+//
+// The body lives out of line in crc32.cpp (slice-by-16 tables). Keep it
+// there: inlining it into every caller moved hot FFT and kernel symbols
+// in the final binary and measurably slowed workloads that never call it.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
 namespace ptycho {
 
-namespace detail {
-
-constexpr std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
-  }
-  return table;
-}
-
-inline constexpr std::array<std::uint32_t, 256> kCrc32Table = make_crc32_table();
-
-}  // namespace detail
-
 /// CRC-32 of `n` bytes at `data`, chained: pass a previous call's return
 /// value as `crc` to extend the checksum over a split buffer (the default
 /// 0 starts a fresh stream).
-[[nodiscard]] inline std::uint32_t crc32(const void* data, std::size_t n,
-                                         std::uint32_t crc = 0) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  crc = ~crc;
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = detail::kCrc32Table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return ~crc;
-}
+[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc = 0);
 
 }  // namespace ptycho

@@ -12,7 +12,7 @@
 // paper = 120 px at 10 pm/px) — production codes crop the object patch
 // and bin the detector to this support, which is also what makes the
 // paper's tiny 0.18 GB/GPU at 4158 GPUs possible at all (a full 1024^2
-// per-slice workspace alone would exceed it). See EXPERIMENTS.md.
+// per-slice workspace alone would exceed it).
 #pragma once
 
 #include <vector>

@@ -6,7 +6,7 @@
 
 namespace ptycho {
 
-/// How tiles incorporate gradients (Alg. 1 variants; see DESIGN.md Sec. 5).
+/// How tiles incorporate gradients (Alg. 1 variants).
 enum class UpdateMode {
   /// The paper's Alg. 1: immediate per-probe SGD updates (step 8) plus the
   /// delayed accumulated-gradient update after each pass (steps 14-15).

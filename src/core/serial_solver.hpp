@@ -4,7 +4,7 @@
 // step + delayed accumulated-gradient step every chunk) so that the
 // decomposed solvers can be validated against it: in full-batch mode
 // GradientDecomposition must match this solver to fp tolerance for any
-// mesh (the central invariant, DESIGN.md Sec. 5).
+// mesh (the central invariant, tests/test_solvers.cpp).
 #pragma once
 
 #include "ckpt/snapshot.hpp"

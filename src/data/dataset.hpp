@@ -75,7 +75,7 @@ struct PaperDataset {
 [[nodiscard]] PaperDataset paper_small_dataset();
 [[nodiscard]] PaperDataset paper_large_dataset();
 
-/// Scaled-down repro specs (DESIGN.md Sec. 2) that run on one host.
+/// Scaled-down repro specs that run on one host.
 [[nodiscard]] DatasetSpec repro_small_spec();
 [[nodiscard]] DatasetSpec repro_large_spec();
 /// Tiny spec for unit tests (seconds, not minutes).

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "fft/plan.hpp"
 
 namespace ptycho::io {
 
@@ -163,38 +164,113 @@ void save_dataset(const std::string& path, const Dataset& dataset) {
   PTYCHO_CHECK(out.good(), "write failed for '" << path << "'");
 }
 
+namespace {
+
+// Header bounds for untrusted dataset files. Each sits well above the
+// paper's own acquisitions (Table I: 1024 x 1024 frames, a 3072 px field,
+// 100 slices) so no real dataset trips them, yet every one is finite:
+// nothing a header says can request an unbounded allocation.
+constexpr std::uint64_t kMaxProbeN = 4096;           // power of two, for the FFT
+constexpr std::uint64_t kMaxScanSide = 1u << 16;     // scan rows / cols
+constexpr std::uint64_t kMaxPixels = 1u << 20;       // steps, margin, field extent
+constexpr std::uint64_t kMaxSlices = 1u << 12;
+
+/// Reads one unsigned header field and checks it lies in [lo, hi].
+index_t read_bounded(std::ifstream& in, const char* field, std::uint64_t lo, std::uint64_t hi) {
+  const std::uint64_t v = read_u64(in);
+  PTYCHO_CHECK(in.good(), "truncated dataset header (at " << field << ")");
+  PTYCHO_CHECK(v >= lo && v <= hi,
+               "corrupt dataset header: " << field << " = " << v << " is outside [" << lo
+                                          << ", " << hi << "]");
+  return static_cast<index_t>(v);
+}
+
+/// Reads one floating-point header field and checks it is finite and at
+/// least `lo`.
+double read_finite(std::ifstream& in, const char* field, double lo = -HUGE_VAL) {
+  const double v = read_f64(in);
+  PTYCHO_CHECK(in.good(), "truncated dataset header (at " << field << ")");
+  PTYCHO_CHECK(std::isfinite(v) && v >= lo,
+               "corrupt dataset header: " << field << " = " << v << " is out of range");
+  return v;
+}
+
+}  // namespace
+
 Dataset load_dataset(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   PTYCHO_CHECK(in.good(), "cannot open '" << path << "' for reading");
+  in.seekg(0, std::ios::end);
+  const auto file_bytes = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
   PTYCHO_CHECK(read_u64(in) == kDatasetMagic, "'" << path << "' is not a dataset file");
+  // Every header field is validated before anything is sized from it: a
+  // hostile or bit-rotted header must end in ptycho::Error, never in a
+  // crash or a multi-terabyte allocation.
   DatasetSpec spec;
   const auto name_len = read_u64(in);
-  PTYCHO_CHECK(name_len < (1u << 20), "corrupt dataset name length");
+  PTYCHO_CHECK(in.good() && name_len < (1u << 20) && name_len <= file_bytes,
+               "corrupt dataset name length");
   spec.name.resize(name_len);
   in.read(spec.name.data(), static_cast<std::streamsize>(name_len));
-  spec.scan.rows = static_cast<index_t>(read_u64(in));
-  spec.scan.cols = static_cast<index_t>(read_u64(in));
-  spec.scan.step_px = static_cast<index_t>(read_u64(in));
-  spec.scan.step_y_px = static_cast<index_t>(read_u64(in));
-  spec.scan.margin_px = static_cast<index_t>(read_u64(in));
-  spec.scan.probe_n = static_cast<index_t>(read_u64(in));
-  spec.grid.probe_n = read_u64(in);
-  spec.grid.dx_pm = read_f64(in);
-  spec.grid.dz_pm = read_f64(in);
-  spec.grid.wavelength_pm = read_f64(in);
-  spec.probe.aperture_mrad = read_f64(in);
-  spec.probe.defocus_pm = read_f64(in);
-  spec.probe.cs_pm = read_f64(in);
-  spec.slices = static_cast<index_t>(read_u64(in));
-  spec.model.model = static_cast<ObjectModel>(read_u64(in));
-  spec.model.sigma = static_cast<real>(read_f64(in));
+  spec.scan.rows = read_bounded(in, "scan.rows", 1, kMaxScanSide);
+  spec.scan.cols = read_bounded(in, "scan.cols", 1, kMaxScanSide);
+  spec.scan.step_px = read_bounded(in, "scan.step_px", 1, kMaxPixels);
+  spec.scan.step_y_px = read_bounded(in, "scan.step_y_px", 0, kMaxPixels);
+  spec.scan.margin_px = read_bounded(in, "scan.margin_px", 0, kMaxPixels);
+  spec.scan.probe_n = read_bounded(in, "scan.probe_n", 4, kMaxProbeN);
+  spec.grid.probe_n = static_cast<usize>(read_bounded(in, "grid.probe_n", 4, kMaxProbeN));
+  PTYCHO_CHECK(fft::is_pow2(spec.grid.probe_n),
+               "corrupt dataset header: grid.probe_n = " << spec.grid.probe_n
+                                                         << " is not a power of two");
+  PTYCHO_CHECK(spec.scan.probe_n == static_cast<index_t>(spec.grid.probe_n),
+               "corrupt dataset header: scan.probe_n " << spec.scan.probe_n
+                                                       << " != grid.probe_n "
+                                                       << spec.grid.probe_n);
+  spec.grid.dx_pm = read_finite(in, "grid.dx_pm", 0.0);
+  spec.grid.dz_pm = read_finite(in, "grid.dz_pm", 0.0);
+  spec.grid.wavelength_pm = read_finite(in, "grid.wavelength_pm", 0.0);
+  PTYCHO_CHECK(spec.grid.dx_pm > 0.0 && spec.grid.wavelength_pm > 0.0,
+               "corrupt dataset header: pixel size and wavelength must be positive");
+  spec.probe.aperture_mrad = read_finite(in, "probe.aperture_mrad", 0.0);
+  spec.probe.defocus_pm = read_finite(in, "probe.defocus_pm");
+  spec.probe.cs_pm = read_finite(in, "probe.cs_pm");
+  spec.slices = read_bounded(in, "slices", 1, kMaxSlices);
+  spec.model.model = static_cast<ObjectModel>(read_bounded(
+      in, "model", static_cast<std::uint64_t>(ObjectModel::kTransmittance),
+      static_cast<std::uint64_t>(ObjectModel::kPotential)));
+  spec.model.sigma = static_cast<real>(read_finite(in, "model.sigma"));
+
+  // The scanned field must stay addressable (the reconstruction volume is
+  // sized from it), and rows x cols is the number of frames that follow.
+  // Every factor is capped above, so none of these products overflow.
+  const std::uint64_t extent_y = 2 * static_cast<std::uint64_t>(spec.scan.margin_px) +
+                                 static_cast<std::uint64_t>(spec.scan.rows - 1) *
+                                     static_cast<std::uint64_t>(spec.scan.step_y()) +
+                                 spec.grid.probe_n;
+  const std::uint64_t extent_x = 2 * static_cast<std::uint64_t>(spec.scan.margin_px) +
+                                 static_cast<std::uint64_t>(spec.scan.cols - 1) *
+                                     static_cast<std::uint64_t>(spec.scan.step_px) +
+                                 spec.grid.probe_n;
+  PTYCHO_CHECK(extent_y <= kMaxPixels && extent_x <= kMaxPixels,
+               "corrupt dataset header: scanned field " << extent_y << " x " << extent_x
+                                                        << " px exceeds " << kMaxPixels);
+  const auto probes = static_cast<std::uint64_t>(spec.scan.rows) *
+                      static_cast<std::uint64_t>(spec.scan.cols);
+  const auto count = read_u64(in);
   PTYCHO_CHECK(in.good(), "truncated dataset header in '" << path << "'");
+  PTYCHO_CHECK(count == probes,
+               "dataset '" << path << "' measurement count does not match its scan");
+  // The frames must all be in the file before any of them is allocated.
+  const std::uint64_t frame_bytes = spec.grid.probe_n * spec.grid.probe_n * sizeof(real);
+  const auto header_bytes = static_cast<std::uint64_t>(in.tellg());
+  PTYCHO_CHECK(count <= (file_bytes - header_bytes) / frame_bytes,
+               "truncated measurements in '" << path << "': header promises " << count
+                                             << " frames of " << frame_bytes << " bytes");
 
   Dataset dataset(spec, ScanPattern(spec.scan), Probe(spec.grid, spec.probe));
-  const auto count = read_u64(in);
-  PTYCHO_CHECK(count == static_cast<std::uint64_t>(dataset.scan.count()),
-               "dataset '" << path << "' measurement count does not match its scan");
   const auto n = static_cast<index_t>(spec.grid.probe_n);
+  dataset.measurements.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     RArray2D m(n, n);
     in.read(reinterpret_cast<char*>(m.data()), static_cast<std::streamsize>(m.bytes()));

@@ -4,7 +4,7 @@
 // perovskite lattice (heavy corner atoms, lighter body-center atom,
 // oxygen sites) rendered as Gaussian phase bumps with mild absorption,
 // with per-slice positional jitter so slices differ (exercising the 3-D
-// multi-slice path). See DESIGN.md "substitutions".
+// multi-slice path).
 #pragma once
 
 #include "physics/grid.hpp"

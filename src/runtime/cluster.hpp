@@ -2,8 +2,8 @@
 // with a shared message fabric, per-rank memory tracking and per-rank
 // phase profiling.
 //
-// This is the substitution for the paper's Summit allocation (DESIGN.md
-// Sec. 2): algorithmic behaviour — who communicates what, per-rank peak
+// This is the substitution for the paper's Summit allocation (README intro
+// and "Module architecture"): algorithmic behaviour — who communicates what, per-rank peak
 // memory, convergence, seam behaviour — is bit-faithful to a real
 // distributed run; wall-clock scaling at paper scale is handled by the
 // calibrated performance model instead (runtime/perfmodel.hpp).

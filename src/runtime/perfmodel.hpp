@@ -8,7 +8,6 @@
 // machine model (effective FFT throughput + cache-boost curve + link
 // latency/bandwidth). One constant — effective_flops — is calibrated;
 // every other cell of the tables is then a prediction of the model.
-// See DESIGN.md "substitutions" and EXPERIMENTS.md for the validation.
 #pragma once
 
 #include <vector>

@@ -1,10 +1,19 @@
-// Unit tests for src/common: rng, options, memory hooks, timers, logging.
+// Unit tests for src/common: rng, options, memory hooks, timers, logging,
+// CRC-32.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "ckpt/serialize.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/memory.hpp"
@@ -221,6 +230,115 @@ TEST(Log, ThresholdFilters) {
   log::set_threshold(log::Level::kDebug);
   EXPECT_EQ(log::threshold(), log::Level::kDebug);
   log::set_threshold(prev);
+}
+
+// ---- CRC-32 -------------------------------------------------------------------
+
+/// Textbook byte-at-a-time CRC-32 (reflected 0xEDB88320), the reference
+/// the production slice-by-16 code must match bit for bit.
+std::uint32_t reference_crc32(const unsigned char* p, std::size_t n, std::uint32_t crc = 0) {
+  crc = ~crc;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+  }
+  return ~crc;
+}
+
+/// Deterministic filler bytes (32-bit LCG, top byte of each step).
+std::vector<unsigned char> lcg_bytes(std::size_t n, std::uint32_t seed) {
+  std::vector<unsigned char> out(n);
+  for (auto& b : out) {
+    seed = seed * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(seed >> 24);
+  }
+  return out;
+}
+
+TEST(Crc32, StandardCheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(crc32(check.data(), 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthOffsetAndSplit) {
+  // Lengths straddle the 16-byte block several times over, offsets cover
+  // every alignment of the block loads, and every split point checks that
+  // chaining through a partial block is exact.
+  const std::vector<unsigned char> buf = lcg_bytes(300 + 16, 12345u);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      const std::uint32_t want = reference_crc32(p, len);
+      ASSERT_EQ(crc32(p, len), want) << "offset " << offset << " len " << len;
+      for (std::size_t split = 0; split <= len; ++split) {
+        ASSERT_EQ(crc32(p + split, len - split, crc32(p, split)), want)
+            << "offset " << offset << " len " << len << " split " << split;
+      }
+    }
+  }
+}
+
+// The two golden literals below were computed by the byte-at-a-time CRC
+// that checkpoint format v2 and wire protocol v2 shipped with. They pin
+// both formats: a CRC change that alters a single stored byte fails here.
+
+TEST(Crc32, GoldenCheckpointShardV2) {
+  namespace fs = std::filesystem;
+  const std::string path = (fs::temp_directory_path() / "ptycho_common_crc_shard.bin").string();
+  {
+    ckpt::Writer w(path, 0x5054594348534844ULL, 2);
+    w.u32(7);
+    w.i64(-3);
+    w.f64(0.5);
+    w.str("shard");
+    w.rect(Rect{2, 3, 64, 80});
+    // More than one 4096-element encode chunk, with exactly representable
+    // values so the encoded bytes are host-independent.
+    std::vector<cplx> field(5000);
+    for (std::size_t i = 0; i < field.size(); ++i) {
+      field[i] = cplx(static_cast<real>(static_cast<int>(i % 97) - 48),
+                      static_cast<real>(i % 89) * real(0.25));
+    }
+    w.cplx_array(field.data(), field.size());
+    w.finish();
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<unsigned char> bytes((std::istreambuf_iterator<char>(in)),
+                                         std::istreambuf_iterator<char>());
+  in.close();
+  std::filesystem::remove(path);
+  ASSERT_EQ(bytes.size(), 40097u);
+  const std::size_t body = bytes.size() - 4;
+  const std::uint32_t stored = static_cast<std::uint32_t>(bytes[body]) |
+                               (static_cast<std::uint32_t>(bytes[body + 1]) << 8) |
+                               (static_cast<std::uint32_t>(bytes[body + 2]) << 16) |
+                               (static_cast<std::uint32_t>(bytes[body + 3]) << 24);
+  constexpr std::uint32_t kGolden = 0xCD0CAC56u;
+  EXPECT_EQ(stored, kGolden);
+  EXPECT_EQ(crc32(bytes.data(), body), kGolden);
+}
+
+TEST(Crc32, GoldenWireFrameV2) {
+  // Mirrors the socket transport's 40-byte frame header; frames travel in
+  // host byte order, so the literal holds on little-endian hosts.
+  if constexpr (std::endian::native != std::endian::little) GTEST_SKIP();
+  struct WireHeader {
+    std::uint32_t magic = 0x50545946u;  // "PTYF"
+    std::uint32_t type = 1;             // kData
+    std::int32_t src = 2;
+    std::int32_t dst = 1;
+    std::int64_t tag = 0x0001000200000003;
+    std::uint64_t count = 4096;  // cplx elements
+    std::uint32_t generation = 7;
+    std::uint32_t checksum = 0;  // zeroed while checksumming
+  };
+  static_assert(sizeof(WireHeader) == 40);
+  const WireHeader header;
+  const std::vector<unsigned char> payload = lcg_bytes(header.count * sizeof(cplx), 777u);
+  const std::uint32_t crc =
+      crc32(payload.data(), payload.size(), crc32(&header, sizeof(header)));
+  EXPECT_EQ(crc, 0x72F893BAu);
 }
 
 }  // namespace

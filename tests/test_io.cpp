@@ -1,15 +1,18 @@
 // data/io round-trip coverage: PGM pixel mapping (including the min==max
-// mid-gray edge case), phase PGM, CSV output, and the raw binary volume
-// snapshot read-back.
+// mid-gray edge case), phase PGM, CSV output, the raw binary volume
+// snapshot read-back, and the dataset reader's header validation against
+// hostile files.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "data/io.hpp"
 
 namespace ptycho {
@@ -144,6 +147,143 @@ TEST_F(IoScratch, VolumeLoaderRejectsGarbage) {
     out << "this is not a volume";
   }
   EXPECT_THROW((void)io::load_volume(path("junk.bin")), Error);
+}
+
+// ---- hostile dataset headers ------------------------------------------------
+
+/// The dataset header as io::save_dataset lays it out (magic, name, then
+/// fixed-width fields), defaulting to a small valid 2 x 3 scan of 8 x 8
+/// frames. Tests corrupt one field at a time.
+struct DatasetHeader {
+  std::string name = "hostile";
+  std::uint64_t u[8] = {2, 3, 4, 0, 1, 8, 8, 0};  // rows cols step step_y margin scan.n grid.n
+  double f[6] = {10.0, 125.0, 2.5, 30.0, 500.0, 0.0};  // dx dz lambda aperture defocus cs
+  std::uint64_t slices = 2;
+  std::uint64_t model = 0;
+  double sigma = 1.0;
+  std::uint64_t count = 6;
+};
+
+enum : int { kRows, kCols, kStep, kStepY, kMargin, kScanN, kGridN };
+
+void write_dataset(const std::string& path, const DatasetHeader& h, std::uint64_t frames,
+                   std::uint64_t frame_n = 8) {
+  std::ofstream out(path, std::ios::binary);
+  auto u64 = [&](std::uint64_t v) { out.write(reinterpret_cast<const char*>(&v), sizeof v); };
+  auto f64 = [&](double v) { out.write(reinterpret_cast<const char*>(&v), sizeof v); };
+  u64(0x5054594348444154ULL);  // "PTYCHDAT"
+  u64(h.name.size());
+  out.write(h.name.data(), static_cast<std::streamsize>(h.name.size()));
+  for (int i = 0; i < 7; ++i) u64(h.u[i]);
+  for (const double v : h.f) f64(v);
+  u64(h.slices);
+  u64(h.model);
+  f64(h.sigma);
+  u64(h.count);
+  const std::vector<real> frame(frame_n * frame_n, real(1));
+  for (std::uint64_t i = 0; i < frames; ++i) {
+    out.write(reinterpret_cast<const char*>(frame.data()),
+              static_cast<std::streamsize>(frame.size() * sizeof(real)));
+  }
+}
+
+TEST_F(IoScratch, HandWrittenDatasetHeaderLoads) {
+  // Baseline for the hostile cases below: the unmodified header is valid.
+  write_dataset(path("ok.ptyd"), DatasetHeader{}, 6);
+  const Dataset d = io::load_dataset(path("ok.ptyd"));
+  EXPECT_EQ(d.probe_count(), 6);
+  EXPECT_EQ(d.measurements.size(), 6u);
+  EXPECT_EQ(d.spec.grid.probe_n, 8u);
+}
+
+TEST_F(IoScratch, HugeProbeWindowThrowsInsteadOfCrashing) {
+  // grid.probe_n = 2^40 used to segfault `ptycho info`.
+  DatasetHeader h;
+  h.u[kGridN] = h.u[kScanN] = 1ull << 40;
+  write_dataset(path("probe.ptyd"), h, 6);
+  EXPECT_THROW((void)io::load_dataset(path("probe.ptyd")), Error);
+}
+
+TEST_F(IoScratch, ProbeWindowMustBeAPowerOfTwo) {
+  DatasetHeader h;
+  h.u[kGridN] = h.u[kScanN] = 12;
+  write_dataset(path("npow2.ptyd"), h, 6, 12);
+  EXPECT_THROW((void)io::load_dataset(path("npow2.ptyd")), Error);
+}
+
+TEST_F(IoScratch, HugeScanThrowsInsteadOfBadAlloc) {
+  // A huge scan.rows used to abort with an uncaught std::bad_alloc.
+  DatasetHeader h;
+  h.u[kRows] = 1ull << 40;
+  h.count = h.u[kRows] * h.u[kCols];
+  write_dataset(path("rows.ptyd"), h, 6);
+  EXPECT_THROW((void)io::load_dataset(path("rows.ptyd")), Error);
+}
+
+TEST_F(IoScratch, ScanProductOverflowIsRejected) {
+  // 2^32 x 2^32 wraps to 0 in 64 bits; a matching zero count must not
+  // sneak an empty-but-enormous scan past the reader.
+  DatasetHeader h;
+  h.u[kRows] = h.u[kCols] = 1ull << 32;
+  h.count = 0;
+  write_dataset(path("overflow.ptyd"), h, 0);
+  EXPECT_THROW((void)io::load_dataset(path("overflow.ptyd")), Error);
+}
+
+TEST_F(IoScratch, ObjectModelOutOfRangeIsRejected) {
+  DatasetHeader h;
+  h.model = 7;
+  write_dataset(path("model.ptyd"), h, 6);
+  EXPECT_THROW((void)io::load_dataset(path("model.ptyd")), Error);
+}
+
+TEST_F(IoScratch, PayloadLargerThanFileIsRejected) {
+  // Header and count agree, but only 5 of the 6 promised frames exist.
+  write_dataset(path("short.ptyd"), DatasetHeader{}, 5);
+  EXPECT_THROW((void)io::load_dataset(path("short.ptyd")), Error);
+}
+
+TEST_F(IoScratch, OversizedScannedFieldIsRejected) {
+  DatasetHeader h;
+  h.u[kStep] = 1ull << 20;
+  write_dataset(path("field.ptyd"), h, 6);
+  EXPECT_THROW((void)io::load_dataset(path("field.ptyd")), Error);
+}
+
+TEST_F(IoScratch, EveryIntegerFieldAtZeroOrMaxIsRejectedOrValid) {
+  // Each field at its extremes either loads (where 0 is meaningful:
+  // step_y, margin, model) or throws ptycho::Error; never a crash.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (int field = 0; field < 10; ++field) {
+    for (const std::uint64_t v : {std::uint64_t{0}, kMax}) {
+      DatasetHeader h;
+      if (field < 7) h.u[field] = v;
+      if (field == 7) h.slices = v;
+      if (field == 8) h.model = v;
+      if (field == 9) h.count = v;
+      write_dataset(path("field_sweep.ptyd"), h, 6);
+      const bool zero_ok = v == 0 && (field == kStepY || field == kMargin || field == 8);
+      if (zero_ok) {
+        EXPECT_NO_THROW((void)io::load_dataset(path("field_sweep.ptyd"))) << field;
+      } else {
+        EXPECT_THROW((void)io::load_dataset(path("field_sweep.ptyd")), Error)
+            << "field " << field << " = " << v;
+      }
+    }
+  }
+}
+
+TEST_F(IoScratch, NonFiniteOpticsAreRejected) {
+  for (int field = 0; field < 6; ++field) {
+    DatasetHeader h;
+    h.f[field] = std::numeric_limits<double>::quiet_NaN();
+    write_dataset(path("nan.ptyd"), h, 6);
+    EXPECT_THROW((void)io::load_dataset(path("nan.ptyd")), Error) << "optics field " << field;
+  }
+  DatasetHeader h;
+  h.f[0] = 0.0;  // zero pixel size
+  write_dataset(path("dx.ptyd"), h, 6);
+  EXPECT_THROW((void)io::load_dataset(path("dx.ptyd")), Error);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Tests for src/physics: optics constants, probe formation, propagator,
-// the multislice operator and — critically — its adjoint (dot test and
-// finite-difference gradient checks, both object models).
+// the multislice operator and — critically — its adjoint (dot tests and
+// finite-difference gradient checks, both object models, on the strict
+// operator and on the fast tier's spectral-roundtrip-elided one).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "backend/kernels.hpp"
 #include "common/random.hpp"
 #include "data/synthetic.hpp"
 #include "physics/multislice.hpp"
@@ -44,6 +46,25 @@ FramedVolume random_volume(const Rect& frame, index_t slices, std::uint64_t seed
   }
   return v;
 }
+
+CArray2D random_field(index_t n, std::uint64_t seed) {
+  CArray2D f(n, n);
+  Rng rng(seed);
+  for (index_t y = 0; y < n; ++y) {
+    for (index_t x = 0; x < n; ++x) {
+      f(y, x) = cplx(static_cast<real>(rng.normal()), static_cast<real>(rng.normal()));
+    }
+  }
+  return f;
+}
+
+/// Switches the process to the fast tier for one test: the multislice
+/// operator then elides the far-field F.F^-1 roundtrip at the last slice
+/// (forward and adjoint), which is the path these checks must also cover.
+struct ElidedOperatorScope {
+  ElidedOperatorScope() { backend::set_precision(backend::Precision::kFast); }
+  ~ElidedOperatorScope() { backend::set_precision(backend::Precision::kStrict); }
+};
 
 TEST(Optics, ElectronWavelength) {
   // Known values: 100 kV -> 3.701 pm, 200 kV -> 2.508 pm, 300 kV -> 1.969 pm.
@@ -202,17 +223,54 @@ TEST(Multislice, CostZeroWhenMeasurementsMatch) {
   EXPECT_GT(op.cost(probe, object, window, mag.view(), ws), 1e-6);
 }
 
+/// Adjoint dot test of the whole linear chain probe -> far field, for a
+/// fixed object: A(p) = (1/n) F P T_L ... P T_1 p. Its adjoint comes from
+/// cost_and_gradient's probe gradient: with all-zero measured magnitudes
+/// the far-field seed is exactly 2 A(p0), so the probe gradient is
+/// A^H (2 A p0). This covers the last-slice step where the fast tier
+/// elides the spectral roundtrip, which the propagator-only test cannot.
+void check_chain_adjoint(double rel_bound) {
+  const OpticsGrid grid = test_grid(16);
+  MultisliceOperator op(grid);
+  const auto n = static_cast<index_t>(grid.probe_n);
+  const Rect window{0, 0, n, n};
+  const index_t slices = 3;
+  const FramedVolume object = random_volume(window, slices, 31);
+  MultisliceWorkspace ws(n, slices);
+  const RArray2D zeros(n, n);
+
+  const Probe p0(random_field(n, 32));
+  FramedVolume grad(slices, window);
+  CArray2D adj(n, n);  // A^H (2 A p0)
+  View2D<cplx> adj_view = adj.view();
+  (void)op.cost_and_gradient(p0, object, window, zeros.view(), grad, ws, &adj_view);
+  op.forward(p0, object, window, ws);
+  CArray2D b = ws.far.clone();
+  scale(cplx(2, 0), b.view());
+
+  const CArray2D a = random_field(n, 33);
+  op.forward(Probe(a.clone()), object, window, ws);
+  const auto lhs = dot(ws.far.view(), b.view());
+  const auto rhs = dot(a.view(), adj.view());
+  EXPECT_LT(std::abs(lhs - rhs), rel_bound * std::abs(lhs)) << "lhs " << lhs << " rhs " << rhs;
+}
+
+TEST(Multislice, AdjointDotTest) { check_chain_adjoint(1e-5); }
+
+TEST(Multislice, AdjointDotTestElided) {
+  ElidedOperatorScope elided;
+  check_chain_adjoint(1e-5);
+}
+
 // Finite-difference check of the analytic gradient, for both object
 // models. The Wirtinger gradient g satisfies, for a real perturbation e
 // at one voxel: d cost / d eps ≈ Re(g); for imaginary: ≈ Im(g)... wait:
 // f(V + eps) - f(V) ≈ Re(conj(g) * eps) with our convention g = 2 dF/dV*.
-class MultisliceGradient : public ::testing::TestWithParam<ObjectModel> {};
-
-TEST_P(MultisliceGradient, MatchesFiniteDifference) {
+void check_gradient_matches_fd(ObjectModel model, double bound) {
   const OpticsGrid grid = test_grid(16);
   Probe probe(grid, test_probe_params());
   MultisliceConfig config;
-  config.model = GetParam();
+  config.model = model;
   config.sigma = real(0.8);
   MultisliceOperator op(grid, config);
   const auto n = static_cast<index_t>(grid.probe_n);
@@ -256,10 +314,19 @@ TEST_P(MultisliceGradient, MatchesFiniteDifference) {
     const double analytic = imaginary ? static_cast<double>(g.imag())
                                       : static_cast<double>(g.real());
     const double scale = std::max({std::abs(numeric), std::abs(analytic), 1e-3});
-    EXPECT_NEAR(numeric / scale, analytic / scale, 0.15)
-        << "model=" << static_cast<int>(GetParam()) << " trial=" << trial << " s=" << s
+    EXPECT_NEAR(numeric / scale, analytic / scale, bound)
+        << "model=" << static_cast<int>(model) << " trial=" << trial << " s=" << s
         << " y=" << y << " x=" << x;
   }
+}
+
+class MultisliceGradient : public ::testing::TestWithParam<ObjectModel> {};
+
+TEST_P(MultisliceGradient, MatchesFiniteDifference) { check_gradient_matches_fd(GetParam(), 0.15); }
+
+TEST_P(MultisliceGradient, MatchesFiniteDifferenceElided) {
+  ElidedOperatorScope elided;
+  check_gradient_matches_fd(GetParam(), 0.15);
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, MultisliceGradient,
