@@ -148,6 +148,7 @@ Reader::Reader(const std::string& path, std::uint64_t file_magic)
     }
     PTYCHO_CHECK(crc == stored,
                  "'" << path << "' failed its integrity check (CRC mismatch)");
+    payload_end_ = static_cast<std::uint64_t>(size - 12);
   } else {
     // Legacy v1 layout (no CRC). The footer still guards truncation; the
     // per-file version check downstream decides whether v1 is acceptable.
@@ -156,6 +157,7 @@ Reader::Reader(const std::string& path, std::uint64_t file_magic)
     in_.read(reinterpret_cast<char*>(footer), sizeof footer);
     PTYCHO_CHECK(in_.good() && decode_u64(footer) == kFooterMagic,
                  "'" << path << "' is truncated or corrupt (bad footer)");
+    payload_end_ = static_cast<std::uint64_t>(size - 8);
   }
   in_.clear();
   in_.seekg(0);
@@ -166,6 +168,7 @@ Reader::Reader(const std::string& path, std::uint64_t file_magic)
 void Reader::fill(unsigned char* dst, usize count) {
   in_.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(count));
   PTYCHO_CHECK(in_.good(), "unexpected end of checkpoint file '" << path_ << "'");
+  pos_ += count;
 }
 
 std::uint8_t Reader::u8() {

@@ -88,12 +88,21 @@ class Reader {
 
   void cplx_array(cplx* data, usize count);
 
+  /// Payload bytes left before the footer. Callers bound counts read from
+  /// the file by this before allocating for them: a header that claims
+  /// more data than the file holds is corrupt, whatever its CRC says.
+  [[nodiscard]] std::uint64_t remaining() const {
+    return pos_ < payload_end_ ? payload_end_ - pos_ : 0;
+  }
+
  private:
   void fill(unsigned char* dst, usize count);
 
   std::ifstream in_;
   std::string path_;
   std::uint32_t version_ = 0;
+  std::uint64_t pos_ = 0;          // bytes consumed from the start of the file
+  std::uint64_t payload_end_ = 0;  // offset of the footer magic
 };
 
 }  // namespace ptycho::ckpt

@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
+#include <initializer_list>
+#include <limits>
 #include <tuple>
 
 #include "ckpt/serialize.hpp"
@@ -30,10 +32,36 @@ void write_framed(Writer& w, const FramedVolume& volume) {
   w.cplx_array(volume.data.data(), static_cast<usize>(volume.data.size()));
 }
 
+// Every count below comes from the file, so it is bounded by the bytes the
+// file has left before anything is allocated for it: a hostile header
+// must end in ptycho::Error, never in std::bad_alloc or a wrapped size.
+void check_fits(const Reader& r, std::uint64_t count, std::uint64_t bytes_each, const char* what) {
+  PTYCHO_CHECK(count <= r.remaining() / bytes_each,
+               "corrupt " << what << ": " << count << " entries do not fit in the file");
+}
+
+// A stored cplx array with the given extents: its element count must not
+// overflow, and its payload (a u64 length, then 8 bytes per element) must
+// fit in the file's remaining bytes.
+void check_cplx_payload(const Reader& r, std::initializer_list<index_t> extents,
+                        const char* what) {
+  std::uint64_t count = 1;
+  for (const index_t e : extents) {
+    PTYCHO_CHECK(e >= 0, "corrupt " << what << " header: negative extent " << e);
+    const auto ue = static_cast<std::uint64_t>(e);
+    PTYCHO_CHECK(ue == 0 || count <= std::numeric_limits<std::uint64_t>::max() / ue,
+                 "corrupt " << what << " header: extents overflow");
+    count *= ue;
+  }
+  PTYCHO_CHECK(r.remaining() >= 8, "corrupt " << what << ": file ends before its data");
+  PTYCHO_CHECK(count <= (r.remaining() - 8) / 8,
+               "corrupt " << what << ": " << count << " elements do not fit in the file");
+}
+
 FramedVolume read_framed(Reader& r) {
   const Rect frame = r.rect();
   const index_t slices = r.i64();
-  PTYCHO_CHECK(slices >= 0 && frame.h >= 0 && frame.w >= 0, "corrupt framed volume header");
+  check_cplx_payload(r, {slices, frame.h, frame.w}, "framed volume");
   FramedVolume volume(slices, frame);
   r.cplx_array(volume.data.data(), static_cast<usize>(volume.data.size()));
   return volume;
@@ -47,7 +75,7 @@ void write_square(Writer& w, const CArray2D& a) {
 
 CArray2D read_square(Reader& r) {
   const index_t n = r.i64();
-  PTYCHO_CHECK(n >= 0, "corrupt square array header");
+  check_cplx_payload(r, {n, n}, "square array");
   CArray2D a(n, n);
   r.cplx_array(a.data(), static_cast<usize>(a.size()));
   return a;
@@ -133,11 +161,14 @@ Manifest read_manifest(const std::string& dir) {
   m.update_mode = static_cast<int>(r.u8());
   const std::uint64_t cost_count = r.u64();
   PTYCHO_CHECK(cost_count < (1u << 24), "implausible cost history length");
+  check_fits(r, cost_count, 8, "cost history");
   m.cost_values.reserve(cost_count);
   for (std::uint64_t i = 0; i < cost_count; ++i) m.cost_values.push_back(r.f64());
   const std::uint64_t tile_count = r.u64();
-  PTYCHO_CHECK(tile_count == static_cast<std::uint64_t>(m.nranks),
+  PTYCHO_CHECK(m.nranks >= 0 && tile_count == static_cast<std::uint64_t>(m.nranks),
                "manifest tile count does not match its rank count");
+  // A tile is at least its rank (4 bytes), two rects (64) and a probe count (8).
+  check_fits(r, tile_count, 76, "manifest tiling");
   m.tiles.reserve(tile_count);
   for (std::uint64_t t = 0; t < tile_count; ++t) {
     TileInfo tile;
@@ -147,6 +178,7 @@ Manifest read_manifest(const std::string& dir) {
     const std::uint64_t nprobes = r.u64();
     PTYCHO_CHECK(nprobes <= static_cast<std::uint64_t>(m.probe_count),
                  "tile owns more probes than the dataset has");
+    check_fits(r, nprobes, 8, "tile probe list");
     tile.own_probes.reserve(nprobes);
     for (std::uint64_t i = 0; i < nprobes; ++i) tile.own_probes.push_back(r.i64());
     m.tiles.push_back(std::move(tile));

@@ -20,12 +20,7 @@ void note_transform(usize rows, usize cols) {
 }
 }  // namespace
 
-Fft2D::Fft2D(usize rows, usize cols)
-    : rows_(rows),
-      cols_(cols),
-      batched_rows_(engine_flags().batched_rows),
-      row_plan_(cols),
-      col_plan_(rows) {
+Fft2D::Fft2D(usize rows, usize cols) : rows_(rows), cols_(cols), row_plan_(cols), col_plan_(rows) {
   PTYCHO_REQUIRE(rows >= 1 && cols >= 1, "Fft2D extents must be >= 1");
 }
 
@@ -43,97 +38,93 @@ Fft2D::ScratchLease Fft2D::acquire_scratch() const {
       return ScratchLease(*this, std::move(scratch));
     }
   }
+  const usize row_lanes = std::min(rows_, static_cast<usize>(kLanes));
+  const usize col_lanes = std::min(cols_, static_cast<usize>(kLanes));
   auto scratch = std::make_unique<Scratch>();
-  scratch->tile.resize(rows_ * static_cast<usize>(kColBlock));
-  scratch->bluestein.resize(col_plan_.strided_scratch_size(static_cast<usize>(kColBlock)));
-  if (batched_rows_) {
-    scratch->row_tile.resize(cols_ * static_cast<usize>(kRowBatch));
-    scratch->row_bluestein.resize(row_plan_.strided_scratch_size(static_cast<usize>(kRowBatch)));
-  }
+  scratch->row_tile.resize(cols_ * row_lanes);
+  scratch->row_bluestein.resize(row_plan_.strided_scratch_size(row_lanes));
+  scratch->col_bluestein.resize(col_plan_.strided_scratch_size(col_lanes));
   return ScratchLease(*this, std::move(scratch));
 }
 
-void Fft2D::transform_rows(View2D<cplx> field, bool fwd, const cplx* post_scale) const {
-  const backend::Kernels& kern = backend::kernels();
-  const auto cols = static_cast<usize>(field.cols());
-  if (!batched_rows_) {
-    for (index_t y = 0; y < field.rows(); ++y) {
-      cplx* row = field.row(y);
-      if (fwd) {
-        row_plan_.forward(row);
-      } else {
-        row_plan_.inverse(row);
+namespace {
+// dst[c * dst_stride + r] = src[r * src_stride + c] for r < rows, c < cols,
+// in 8x8 blocks: each block reads eight short runs of src and writes eight
+// short runs of dst, so neither side strides through the whole field.
+void transpose_blocked(const cplx* src, usize src_stride, cplx* dst, usize dst_stride,
+                       usize rows, usize cols) {
+  constexpr usize kBlock = 8;
+  for (usize r0 = 0; r0 < rows; r0 += kBlock) {
+    const usize r1 = std::min(r0 + kBlock, rows);
+    for (usize c0 = 0; c0 < cols; c0 += kBlock) {
+      const usize c1 = std::min(c0 + kBlock, cols);
+      for (usize r = r0; r < r1; ++r) {
+        for (usize c = c0; c < c1; ++c) dst[c * dst_stride + r] = src[r * src_stride + c];
       }
-      if (post_scale != nullptr) kern.scale_lanes(row, row, *post_scale, cols);
     }
-    return;
   }
-  // Batched: transpose kRowBatch rows into a lane-major tile, transform all
-  // of them through one strided call (every butterfly stage vectorizes
-  // across the row lanes, twiddle loads amortize over the batch), and
-  // transpose back. The tile stays cache-resident between the passes.
+}
+}  // namespace
+
+void Fft2D::transform_rows(View2D<cplx> field, bool fwd, const cplx* post_scale) const {
+  // Rows are not lanes in the field's layout, so up to kLanes of them are
+  // transposed into a lane-major tile, transformed by one strided call
+  // (every butterfly stage vectorizes across the rows, twiddle loads
+  // amortize over the batch) and transposed back.
+  const backend::Kernels& kern = backend::kernels();
   const ScratchLease lease = acquire_scratch();
   cplx* tile = lease.get().row_tile.data();
   cplx* pad = lease.get().row_bluestein.empty() ? nullptr : lease.get().row_bluestein.data();
-  const index_t rows = field.rows();
-  for (index_t y0 = 0; y0 < rows; y0 += kRowBatch) {
-    const index_t batch = std::min(kRowBatch, rows - y0);
-    const auto b = static_cast<usize>(batch);
-    for (index_t lane = 0; lane < batch; ++lane) {
-      const cplx* row = field.row(y0 + lane);
-      cplx* t = tile + static_cast<usize>(lane);
-      for (usize x = 0; x < cols; ++x) t[x * b] = row[x];
-    }
+  const auto rows = static_cast<usize>(field.rows());
+  const auto cols = static_cast<usize>(field.cols());
+  const auto stride = static_cast<usize>(field.row_stride());
+  for (usize y0 = 0; y0 < rows; y0 += kLanes) {
+    const usize b = std::min(static_cast<usize>(kLanes), rows - y0);
+    cplx* block = field.data() + y0 * stride;
+    transpose_blocked(block, stride, tile, b, b, cols);
     if (fwd) {
       row_plan_.forward_strided(tile, b, b, pad);
     } else {
       row_plan_.inverse_strided(tile, b, b, pad);
     }
     if (post_scale != nullptr) kern.scale_lanes(tile, tile, *post_scale, cols * b);
-    for (index_t lane = 0; lane < batch; ++lane) {
-      cplx* row = field.row(y0 + lane);
-      const cplx* t = tile + static_cast<usize>(lane);
-      for (usize x = 0; x < cols; ++x) row[x] = t[x * b];
-    }
+    transpose_blocked(tile, b, block, stride, cols, b);
   }
 }
 
 void Fft2D::transform_cols(View2D<cplx> field, bool fwd, const MultiplySpec* mul,
                            const cplx* post_scale) const {
-  const ScratchLease lease = acquire_scratch();
-  cplx* tile = lease.get().tile.data();
-  cplx* pad = lease.get().bluestein.empty() ? nullptr : lease.get().bluestein.data();
+  // Columns already are lanes: element y of column x sits at
+  // y * row_stride + x, so each block of up to kLanes columns transforms
+  // in place in the caller's field with no gather or scatter. The fused
+  // multiply and scale run on the same block right before/after it.
   const backend::Kernels& kern = backend::kernels();
-  const index_t rows = field.rows();
-  const auto urows = static_cast<usize>(rows);
-  const auto field_stride = static_cast<usize>(field.row_stride());
-  for (index_t x0 = 0; x0 < field.cols(); x0 += kColBlock) {
-    const index_t block = std::min(kColBlock, field.cols() - x0);
-    const auto b = static_cast<usize>(block);
-    // Gather the block: row y contributes `block` contiguous elements, so
-    // the pass streams cache lines instead of touching one column stripe.
-    // A pre-multiply runs the point-wise kernel product in the same sweep.
+  const ScratchLease lease = acquire_scratch();
+  cplx* pad = lease.get().col_bluestein.empty() ? nullptr : lease.get().col_bluestein.data();
+  const auto rows = static_cast<usize>(field.rows());
+  const auto cols = static_cast<usize>(field.cols());
+  const auto stride = static_cast<usize>(field.row_stride());
+  for (usize x0 = 0; x0 < cols; x0 += kLanes) {
+    const usize b = std::min(static_cast<usize>(kLanes), cols - x0);
+    cplx* block = field.data() + x0;
     if (mul != nullptr && mul->pre) {
-      kern.cmul_rows_tiled(tile, b, field.data() + x0, field_stride, mul->data + x0,
-                           mul->stride, mul->conj, urows, b);
-    } else {
-      for (index_t y = 0; y < rows; ++y) {
-        std::copy_n(field.row(y) + x0, block, tile + static_cast<usize>(y) * b);
-      }
+      kern.cmul_rows_tiled(block, stride, block, stride, mul->data + x0, mul->stride, mul->conj,
+                           rows, b);
     }
     if (fwd) {
-      col_plan_.forward_strided(tile, b, b, pad);
+      col_plan_.forward_strided(block, stride, b, pad);
     } else {
-      col_plan_.inverse_strided(tile, b, b, pad);
+      col_plan_.inverse_strided(block, stride, b, pad);
     }
-    // Post-transform fusions act on the cache-resident tile, so the kernel
-    // product / scale costs no extra pass over the field.
     if (mul != nullptr && !mul->pre) {
-      kern.cmul_rows_tiled(tile, b, tile, b, mul->data + x0, mul->stride, mul->conj, urows, b);
+      kern.cmul_rows_tiled(block, stride, block, stride, mul->data + x0, mul->stride, mul->conj,
+                           rows, b);
     }
-    if (post_scale != nullptr) kern.scale_lanes(tile, tile, *post_scale, urows * b);
-    for (index_t y = 0; y < rows; ++y) {
-      std::copy_n(tile + static_cast<usize>(y) * b, block, field.row(y) + x0);
+    if (post_scale != nullptr) {
+      for (usize y = 0; y < rows; ++y) {
+        cplx* row = block + y * stride;
+        kern.scale_lanes(row, row, *post_scale, b);
+      }
     }
   }
 }

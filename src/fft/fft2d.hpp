@@ -1,26 +1,36 @@
 // Two-dimensional planned FFT over View2D<cplx>, plus fftshift helpers.
 //
 // The multislice operator transforms each probe-sized wavefield twice per
-// slice, so Fft2D is the hottest kernel in the library. Both passes are
-// cache-blocked through the batched strided Plan1D entry point: columns
-// are gathered kColBlock at a time into a compact scratch tile, and rows
-// are transposed kRowBatch at a time into a lane-major tile, so every
-// butterfly inner loop vectorizes across the batch and every pass over
-// the field moves whole cache lines. The inverse runs columns first, then
-// rows, which lets the fused entry points below fold point-wise spectral
-// work into the tile that is already in cache:
+// slice, so Fft2D is the hottest kernel in the library. Both passes run
+// through the batched strided Plan1D entry point, up to kLanes signals
+// per call, so every butterfly inner loop vectorizes across the lanes:
 //
-//   forward_multiply  = forward  then field *= kernel   (multiply in the
-//                       last column-pass tile before scatter)
-//   multiply_inverse  = field *= kernel then inverse    (multiply in the
-//                       first column-pass gather)
+//   column pass  the field's columns already are lanes (element y of
+//                column x sits at y * row_stride + x), so blocks of up to
+//                kLanes columns transform in place in the caller's field,
+//                with no gather or scatter tile;
+//   row pass     up to kLanes rows are moved into a lane-major tile by a
+//                blocked 8x8 transpose, transformed by one strided call
+//                and moved back.
+//
+// Each lane runs the per-element operation sequence of the contiguous
+// 1-D transform, so the output is bitwise identical to transforming every
+// row, then every column, one at a time. The inverse runs columns first,
+// then rows, which lets the fused entry points below fold point-wise
+// spectral work into the column block that is already in cache:
+//
+//   forward_multiply  = forward  then field *= kernel   (multiply each
+//                       column block right after its transform)
+//   multiply_inverse  = field *= kernel then inverse    (multiply each
+//                       column block right before its transform)
 //   forward_scale / inverse_scale = the same fusion for a uniform scale
 //
 // Each fused call is bitwise identical to its composed two-step sequence
 // (the folded op runs the same dispatched per-element kernels, just on
-// tile-resident data) while costing zero extra full-field passes.
-// Scratch tiles live in a small plan-owned pool (acquired per call), so a
-// single Fft2D is safe to share across concurrently executing workers.
+// cache-resident data) while costing zero extra full-field passes.
+// Scratch (the row tile and Bluestein pads) lives in a small plan-owned
+// pool, leased per call, so a single Fft2D is safe to share across
+// concurrently executing workers as long as each transforms its own field.
 #pragma once
 
 #include <memory>
@@ -34,11 +44,9 @@ namespace ptycho::fft {
 
 class Fft2D {
  public:
-  /// Columns per block of the cache-blocked column pass.
-  static constexpr index_t kColBlock = 16;
-  /// Rows per batch of the transposed row pass (when engine_flags()
-  /// enables batched_rows; otherwise rows transform one at a time).
-  static constexpr index_t kRowBatch = 16;
+  /// Signals per strided Plan1D call in both passes: a 64-wide probe
+  /// window transforms each pass in one call.
+  static constexpr index_t kLanes = 64;
 
   /// Plan for `rows x cols` transforms.
   Fft2D(usize rows, usize cols);
@@ -78,8 +86,8 @@ class Fft2D {
 
  private:
   /// Point-wise kernel multiply folded into the column pass: `pre` applies
-  /// it during the gather (before the transform), otherwise before the
-  /// scatter. `data`/`stride` address the kernel's row-major storage.
+  /// it to each column block before its transform, otherwise after it.
+  /// `data`/`stride` address the kernel's row-major storage.
   struct MultiplySpec {
     const cplx* data;
     usize stride;
@@ -87,14 +95,13 @@ class Fft2D {
     bool pre;
   };
 
-  /// Pooled per-call scratch: the column tile (rows x kColBlock), the
-  /// transposed row tile (cols x kRowBatch, batched row pass only) and the
-  /// batched-Bluestein pads (empty for power-of-two extents).
+  /// Pooled per-call scratch: the lane-major row tile (cols x up to
+  /// kLanes) and the batched-Bluestein pads of both passes (empty for
+  /// power-of-two extents).
   struct Scratch {
-    std::vector<cplx> tile;
-    std::vector<cplx> bluestein;
     std::vector<cplx> row_tile;
     std::vector<cplx> row_bluestein;
+    std::vector<cplx> col_bluestein;
   };
 
   /// RAII lease of a pooled scratch buffer; returns it on destruction.
@@ -120,9 +127,8 @@ class Fft2D {
 
   usize rows_ = 0;
   usize cols_ = 0;
-  bool batched_rows_ = true;  // engine_flags().batched_rows at construction
-  Plan1D row_plan_;           // length cols_ (transforms along x)
-  Plan1D col_plan_;           // length rows_ (transforms along y)
+  Plan1D row_plan_;  // length cols_ (transforms along x)
+  Plan1D col_plan_;  // length rows_ (transforms along y)
 
   // Pool of scratch buffers. Concurrent transforms each lease one
   // (allocating on first use), so sharing one plan across workers is

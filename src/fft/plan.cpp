@@ -24,7 +24,6 @@ EngineFlags& mutable_engine_flags() {
     EngineFlags f;
     f.radix4 = env_flag_on("PTYCHO_FFT_RADIX4");
     f.fused = env_flag_on("PTYCHO_FFT_FUSED");
-    f.batched_rows = env_flag_on("PTYCHO_FFT_BATCHED_ROWS");
     return f;
   }();
   return flags;

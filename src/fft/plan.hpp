@@ -6,10 +6,12 @@
 // so inverse(forward(x)) == x, and the adjoint of `forward` is
 // n * inverse (used by the gradient engine — see core/gradient_engine.cpp).
 //
-// Power-of-two sizes run the iterative radix-2 Cooley–Tukey kernel; any
-// other size runs Bluestein's chirp-z algorithm on a padded power-of-two
-// plan. Plans are immutable after construction and safe to share across
-// rank threads (scratch is per-thread).
+// Power-of-two sizes run the iterative Cooley–Tukey kernel: fused radix-4
+// stage pairs by default, plain radix-2 stages when engine_flags().radix4
+// is off. Any other size runs Bluestein's chirp-z algorithm on a padded
+// power-of-two plan. Plans are immutable after construction and safe to
+// share across threads: the contiguous Bluestein path keeps its padded
+// scratch per thread, and the strided entry points take caller scratch.
 #pragma once
 
 #include <memory>
@@ -21,17 +23,15 @@ namespace ptycho::fft {
 
 /// Tunables of the fused spectral engine, initialized once from the
 /// environment (each defaults to on; set the variable to "0" to disable):
-///   PTYCHO_FFT_RADIX4       - fused radix-4 stage pairs on power-of-two sizes
-///   PTYCHO_FFT_FUSED        - fold spectral multiplies/scales into FFT passes
-///                             (the propagator/multislice escape hatch for A/B)
-///   PTYCHO_FFT_BATCHED_ROWS - run the 2-D row pass 16 rows per strided call
-/// Plans snapshot `radix4`/`batched_rows` at construction; `fused` is read
-/// at every propagator apply. Like backend::select, set_engine_flags is a
-/// startup knob: call it before plans are built and worker threads launch.
+///   PTYCHO_FFT_RADIX4 - fused radix-4 stage pairs on power-of-two sizes
+///   PTYCHO_FFT_FUSED  - fold spectral multiplies/scales into FFT passes
+///                       (the propagator/multislice escape hatch for A/B)
+/// Plans snapshot `radix4` at construction; `fused` is read at every
+/// propagator apply. Like backend::select, set_engine_flags is a startup
+/// knob: call it before plans are built and worker threads launch.
 struct EngineFlags {
   bool radix4 = true;
   bool fused = true;
-  bool batched_rows = true;
 };
 
 [[nodiscard]] const EngineFlags& engine_flags();

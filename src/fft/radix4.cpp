@@ -119,7 +119,7 @@ void radix4_transform_strided(cplx* data, usize n, usize stride, usize count, in
   if (r4.leading_radix2) {
     // The same multiply-free add/sub pairs as the contiguous path — not a
     // unit-twiddle cmul, whose 0*x terms would flip signed zeros and break
-    // bitwise parity between the batched and per-row 2-D row passes. The
+    // bitwise parity between a strided lane and the contiguous transform. The
     // plain add/sub loop over the contiguous lane dimension auto-vectorizes.
     for (usize base = 0; base < n; base += 2) {
       cplx* a = data + base * stride;

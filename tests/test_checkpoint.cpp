@@ -5,10 +5,13 @@
 // trajectory and final volume to fp tolerance.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 
 #include "ckpt/serialize.hpp"
 #include "ckpt/snapshot.hpp"
@@ -224,6 +227,118 @@ TEST(CkptSnapshot, LatestStepRanksByProgressNotDirectoryNumber) {
   const auto latest = ckpt::find_latest_step(dir.path());
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(*latest, 5u);
+}
+
+// ---- hostile headers --------------------------------------------------------
+//
+// Shards and manifests whose headers claim more data than the file holds,
+// with a recomputed (valid) CRC so they reach the parser. Each must end in
+// ptycho::Error before anything is allocated for the claimed sizes — not
+// in std::bad_alloc, and not in a size that wrapped to something small.
+
+// Byte offsets in a shard: magic (8) + version (4) + rank (4) + partial
+// cost (8) + RNG state (32 + 8 + 1) = 65, then the volume's frame rect
+// (y0, x0, h, w) and its slice count.
+constexpr std::uint64_t kShardFrameH = 65 + 16;
+constexpr std::uint64_t kShardFrameW = 65 + 24;
+
+/// One-rank snapshot: 2 slices on a 10x10 frame, 4x4 probe, dataset "unit".
+void write_unit_snapshot(const std::string& dir) {
+  ckpt::Manifest manifest;
+  manifest.dataset_name = "unit";
+  manifest.probe_count = 4;
+  manifest.slices = 2;
+  manifest.nranks = 1;
+  manifest.cost_values = {3.5, 1.25};
+  manifest.tiles.push_back(ckpt::TileInfo{0, Rect{0, 0, 8, 8}, Rect{-1, -1, 10, 10}, {0, 1}});
+  ckpt::write_manifest(dir, manifest);
+  ckpt::Shard shard;
+  shard.volume = FramedVolume(2, Rect{-1, -1, 10, 10});
+  shard.accbuf = FramedVolume(2, Rect{-1, -1, 10, 10});
+  shard.probe = CArray2D(4, 4);
+  shard.probe_grad = CArray2D(4, 4);
+  ckpt::write_shard(dir, shard);
+}
+
+// Manifest layout: magic (8) + version (4) + name (8 + 4) + probe count,
+// slices, step (3 x 8) + iteration, chunk, chunks per iteration (3 x 4),
+// then nranks (u32), two flag bytes, the cost count and 2 costs, and the
+// tile count (u64).
+constexpr std::uint64_t kManifestNranks = 12 + 12 + 24 + 12;
+constexpr std::uint64_t kManifestTileCount = kManifestNranks + 4 + 2 + 8 + 16;
+
+TEST(CkptHostile, PatchOffsetsAddressTheIntendedFields) {
+  // Benign edits through the same offsets land in the expected fields, so
+  // the hostile tests below really exercise the extents they name.
+  ScratchDir dir("hostile_offsets");
+  write_unit_snapshot(dir.path());
+  const std::string shard = dir.path() + "/shard-0000.ckpt";
+  testing::patch_checkpoint_file(shard, kShardFrameH - 16, 5, 8);  // frame.y0
+  EXPECT_EQ(ckpt::read_shard(dir.path(), 0).volume.frame, (Rect{5, -1, 10, 10}));
+  const std::string manifest = dir.path() + "/manifest.ckpt";
+  testing::patch_checkpoint_file(manifest, kManifestNranks - 4, 7, 4);
+  testing::patch_checkpoint_file(manifest, kManifestTileCount - 8,
+                                 std::bit_cast<std::uint64_t>(2.5), 8);
+  const ckpt::Manifest m = ckpt::read_manifest(dir.path());
+  EXPECT_EQ(m.chunks_per_iteration, 7);
+  EXPECT_EQ(m.nranks, 1);
+  ASSERT_EQ(m.cost_values.size(), 2u);
+  EXPECT_EQ(m.cost_values[1], 2.5);
+  ASSERT_EQ(m.tiles.size(), 1u);
+}
+
+TEST(CkptHostile, OversizedFrameIsAnErrorNotBadAlloc) {
+  // 2 x 2^20 x 2^20 elements: 16 TiB the old reader tried to allocate.
+  ScratchDir dir("hostile_frame");
+  write_unit_snapshot(dir.path());
+  const std::string shard = dir.path() + "/shard-0000.ckpt";
+  testing::patch_checkpoint_file(shard, kShardFrameH, std::uint64_t{1} << 20, 8);
+  testing::patch_checkpoint_file(shard, kShardFrameW, std::uint64_t{1} << 20, 8);
+  EXPECT_THROW((void)ckpt::read_shard(dir.path(), 0), Error);
+  EXPECT_THROW((void)ckpt::load_snapshot(dir.path()), Error);
+}
+
+TEST(CkptHostile, WrappingFrameIsAnError) {
+  // 2 x 2^40 x 2^40 wraps to 0 in 64 bits; 2 x 2 x (2^62 + 50) wraps to
+  // exactly the 200 elements the shard stores, so without the overflow
+  // check the read succeeds with a frame that does not describe the data.
+  const std::pair<std::uint64_t, std::uint64_t> frames[] = {
+      {std::uint64_t{1} << 40, std::uint64_t{1} << 40}, {2, (std::uint64_t{1} << 62) + 50}};
+  for (const auto& [h, w] : frames) {
+    ScratchDir dir("hostile_wrap");
+    write_unit_snapshot(dir.path());
+    const std::string shard = dir.path() + "/shard-0000.ckpt";
+    testing::patch_checkpoint_file(shard, kShardFrameH, h, 8);
+    testing::patch_checkpoint_file(shard, kShardFrameW, w, 8);
+    EXPECT_THROW((void)ckpt::read_shard(dir.path(), 0), Error) << h << " x " << w;
+  }
+}
+
+TEST(CkptHostile, OversizedSquareArrayIsAnError) {
+  // The probe's extent follows the volume and the accumulation buffer,
+  // each a 40-byte header plus a u64 length and 2 x 10 x 10 elements.
+  ScratchDir dir("hostile_square");
+  write_unit_snapshot(dir.path());
+  const std::uint64_t probe_n = 65 + 2 * (40 + 8 + 8 * 2 * 10 * 10);
+  const std::string shard = dir.path() + "/shard-0000.ckpt";
+  testing::patch_checkpoint_file(shard, probe_n, std::uint64_t{1} << 20, 8);
+  EXPECT_THROW((void)ckpt::read_shard(dir.path(), 0), Error);
+  testing::patch_checkpoint_file(shard, probe_n, std::uint64_t{1} << 32, 8);  // n^2 wraps
+  EXPECT_THROW((void)ckpt::read_shard(dir.path(), 0), Error);
+}
+
+TEST(CkptHostile, ManifestRankCountBeyondFileIsAnError) {
+  // 2^31 - 1 tiles (what the old reader reserved for), then a rank count
+  // that is negative as an int.
+  ScratchDir dir("hostile_manifest");
+  write_unit_snapshot(dir.path());
+  const std::string manifest = dir.path() + "/manifest.ckpt";
+  testing::patch_checkpoint_file(manifest, kManifestNranks, 0x7FFFFFFFu, 4);
+  testing::patch_checkpoint_file(manifest, kManifestTileCount, 0x7FFFFFFFu, 8);
+  EXPECT_THROW((void)ckpt::read_manifest(dir.path()), Error);
+  testing::patch_checkpoint_file(manifest, kManifestNranks, 0xFFFFFFFFu, 4);
+  testing::patch_checkpoint_file(manifest, kManifestTileCount, ~std::uint64_t{0}, 8);
+  EXPECT_THROW((void)ckpt::read_manifest(dir.path()), Error);
 }
 
 // ---- fault injection --------------------------------------------------------

@@ -1,19 +1,24 @@
 // Unit/property tests for src/fft: fast transforms vs the O(n^2)
-// reference, roundtrips, adjoint identities, shifts, the blocked/batched
-// column paths, the radix-4 stage schedule, the fused spectral entry
-// points, and allocation-freedom of the shift helpers.
+// reference, roundtrips, adjoint identities, shifts, the batched strided
+// lane passes, the radix-4 stage schedule, the fused spectral entry
+// points, strided window views, pinned output bits, and allocation-freedom
+// of the shift helpers.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <new>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "backend/kernels.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "fft/fft2d.hpp"
@@ -451,9 +456,9 @@ TEST(Radix4, AgreesWithRadix2OnBluesteinAdjacentSizes) {
 
 // The fused entry points must be bitwise-equal to their composed two-step
 // sequences under the same radix configuration: the fold moves the same
-// dispatched per-element ops into a tile, it must not change one bit.
-// Shapes cover pow2, Bluestein and mixed extents, including partial
-// kColBlock / kRowBatch edge tiles.
+// dispatched per-element ops onto a cache-resident block, it must not
+// change one bit. Shapes cover pow2, Bluestein and mixed extents, whole
+// Fft2D::kLanes blocks (64x64) and a partial last lane block (100x72).
 class FusedEntryPoints : public ::testing::TestWithParam<std::pair<index_t, index_t>> {};
 
 TEST_P(FusedEntryPoints, ForwardMultiplyBitwiseEqualsComposed) {
@@ -527,35 +532,185 @@ INSTANTIATE_TEST_SUITE_P(Shapes, FusedEntryPoints,
                          ::testing::Values(std::pair<index_t, index_t>{32, 16},
                                            std::pair<index_t, index_t>{24, 20},
                                            std::pair<index_t, index_t>{8, 100},
-                                           std::pair<index_t, index_t>{17, 64}));
+                                           std::pair<index_t, index_t>{17, 64},
+                                           std::pair<index_t, index_t>{64, 64},
+                                           std::pair<index_t, index_t>{100, 72}));
 
-TEST(Fft2DBatchedRows, BitwiseMatchesPerRowPath) {
-  // The transposed batched row pass runs the same per-element operation
-  // sequence as the one-row-at-a-time path (same stage schedule, same
-  // dispatched kernels), so it must agree bitwise on generic data.
-  EngineFlagsGuard guard;
-  for (const auto& [rows, cols] :
-       {std::pair<index_t, index_t>{16, 16}, {20, 8}, {12, 100}, {33, 32}}) {
-    EngineFlags flags = engine_flags();
-    flags.batched_rows = true;
-    set_engine_flags(flags);
-    Fft2D batched(static_cast<usize>(rows), static_cast<usize>(cols));
-    flags.batched_rows = false;
-    set_engine_flags(flags);
-    Fft2D per_row(static_cast<usize>(rows), static_cast<usize>(cols));
+TEST(Fft2DRowPass, BitwiseMatchesPerRowPlan1D) {
+  // Both 2-D passes run every lane through the per-element operation
+  // sequence of the contiguous 1-D transform (same stage schedule, same
+  // dispatched kernels), so a forward must agree bitwise with Plan1D over
+  // every row, then every gathered column, and an inverse with the same
+  // steps in reverse. Shapes cover partial and whole lane blocks on
+  // power-of-two and Bluestein extents.
+  for (const auto& [rows, cols] : {std::pair<index_t, index_t>{16, 16},
+                                   {20, 8},
+                                   {12, 100},
+                                   {33, 32},
+                                   {64, 64},
+                                   {100, 72}}) {
+    Fft2D plan(static_cast<usize>(rows), static_cast<usize>(cols));
+    Plan1D row_plan(static_cast<usize>(cols));
+    Plan1D col_plan(static_cast<usize>(rows));
+    const auto column_pass = [&](CArray2D& field, bool fwd) {
+      std::vector<cplx> column(static_cast<usize>(rows));
+      for (index_t x = 0; x < cols; ++x) {
+        for (index_t y = 0; y < rows; ++y) column[static_cast<usize>(y)] = field(y, x);
+        if (fwd) {
+          col_plan.forward(column.data());
+        } else {
+          col_plan.inverse(column.data());
+        }
+        for (index_t y = 0; y < rows; ++y) field(y, x) = column[static_cast<usize>(y)];
+      }
+    };
     const CArray2D input = random_field(rows, cols, 930 + static_cast<usize>(rows * cols));
     CArray2D a = input.clone();
-    CArray2D b = input.clone();
-    batched.forward(a.view());
-    per_row.forward(b.view());
-    EXPECT_TRUE(bitwise_equal(a.data(), b.data(), static_cast<usize>(rows * cols)))
+    CArray2D ref = input.clone();
+    plan.forward(a.view());
+    for (index_t y = 0; y < rows; ++y) row_plan.forward(ref.row(y));
+    column_pass(ref, true);
+    EXPECT_TRUE(bitwise_equal(a.data(), ref.data(), static_cast<usize>(rows * cols)))
         << "forward " << rows << "x" << cols;
-    batched.inverse(a.view());
-    per_row.inverse(b.view());
-    EXPECT_TRUE(bitwise_equal(a.data(), b.data(), static_cast<usize>(rows * cols)))
+    plan.inverse(a.view());
+    column_pass(ref, false);
+    for (index_t y = 0; y < rows; ++y) row_plan.inverse(ref.row(y));
+    EXPECT_TRUE(bitwise_equal(a.data(), ref.data(), static_cast<usize>(rows * cols)))
         << "inverse " << rows << "x" << cols;
   }
 }
+
+TEST(Fft2D, StridedWindowMatchesCompactCopyAndLeavesMarginUntouched) {
+  // The column pass transforms the caller's memory in place, so a window
+  // view (row_stride > cols) must give the same bits as a compact copy,
+  // and not one element outside the window may change. The kernel is a
+  // window view too, so the fused multiply reads through its own stride.
+  for (const auto& [rows, cols] :
+       {std::pair<index_t, index_t>{64, 64}, {17, 64}, {8, 100}, {100, 72}}) {
+    const auto seed = static_cast<usize>(rows * cols);
+    const CArray2D outer = random_field(rows + 3, cols + 5, 940 + seed);
+    const CArray2D kernel_outer = random_field(rows + 2, cols + 7, 941 + seed);
+    const View2D<const cplx> kernel = kernel_outer.sub(1, 4, rows, cols);
+    Fft2D plan(static_cast<usize>(rows), static_cast<usize>(cols));
+    const cplx alpha(real(0.37), real(-0.81));
+    const std::vector<std::pair<const char*, std::function<void(View2D<cplx>)>>> entry_points = {
+        {"forward", [&](View2D<cplx> f) { plan.forward(f); }},
+        {"inverse", [&](View2D<cplx> f) { plan.inverse(f); }},
+        {"forward_multiply", [&](View2D<cplx> f) { plan.forward_multiply(f, kernel); }},
+        {"multiply_inverse", [&](View2D<cplx> f) { plan.multiply_inverse(kernel, f, true); }},
+        {"forward_scale", [&](View2D<cplx> f) { plan.forward_scale(f, alpha); }},
+        {"inverse_scale", [&](View2D<cplx> f) { plan.inverse_scale(f, alpha); }},
+    };
+    for (const auto& [name, run] : entry_points) {
+      CArray2D windowed = outer.clone();
+      CArray2D compact(rows, cols);
+      copy(windowed.sub(2, 3, rows, cols), compact.view());
+      run(windowed.sub(2, 3, rows, cols));
+      run(compact.view());
+      int inside_mismatches = 0;
+      int outside_changes = 0;
+      for (index_t y = 0; y < rows + 3; ++y) {
+        for (index_t x = 0; x < cols + 5; ++x) {
+          const bool inside = y >= 2 && y < rows + 2 && x >= 3 && x < cols + 3;
+          const cplx& expected = inside ? compact(y - 2, x - 3) : outer(y, x);
+          if (!bitwise_equal(&windowed(y, x), &expected, 1)) {
+            ++(inside ? inside_mismatches : outside_changes);
+          }
+        }
+      }
+      EXPECT_EQ(inside_mismatches, 0) << name << " " << rows << "x" << cols;
+      EXPECT_EQ(outside_changes, 0) << name << " " << rows << "x" << cols;
+    }
+  }
+}
+
+// ---- pinned output bits ------------------------------------------------------
+//
+// CRC-32 of the output bytes of every 2-D entry point. The literals were
+// produced by the earlier 16-column gather / 16-row transpose passes, so
+// they pin the bits across any rework of the pass structure. Inputs are
+// exact multiples of 2^-12 drawn from raw generator bits, so the pinned
+// bytes depend on no libm call in the test itself. Outputs are hashed in
+// host byte order: the literals hold on little-endian hosts.
+
+CArray2D exact_field(index_t rows, index_t cols, std::uint64_t seed) {
+  CArray2D field(rows, cols);
+  Rng rng(seed);
+  const auto draw = [&rng] {
+    return static_cast<real>(static_cast<int>(rng.next_u64() >> 51) - 4096) / real(4096);
+  };
+  for (index_t y = 0; y < rows; ++y) {
+    for (index_t x = 0; x < cols; ++x) {
+      const real re = draw();
+      field(y, x) = cplx(re, draw());
+    }
+  }
+  return field;
+}
+
+struct GoldenCase {
+  index_t rows;
+  index_t cols;
+  std::uint32_t forward;
+  std::uint32_t inverse;
+  std::uint32_t forward_multiply;
+  std::uint32_t multiply_inverse;  // conjugated kernel
+  std::uint32_t forward_scale;
+  std::uint32_t inverse_scale;
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.rows << "x" << c.cols; }
+
+class Fft2DGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(Fft2DGolden, EntryPointOutputsMatchPinnedCrc) {
+  if constexpr (std::endian::native != std::endian::little) GTEST_SKIP();
+  const GoldenCase& c = GetParam();
+  const auto seed = static_cast<std::uint64_t>(c.rows * 1000 + c.cols);
+  const CArray2D input = exact_field(c.rows, c.cols, seed);
+  const CArray2D kernel = exact_field(c.rows, c.cols, seed + 1);
+  const cplx alpha(real(0.375), real(-0.8125));
+  Fft2D plan(static_cast<usize>(c.rows), static_cast<usize>(c.cols));
+  const auto crc_after = [&input](const auto& run) {
+    CArray2D field = input.clone();
+    run(field.view());
+    return crc32(field.data(), static_cast<usize>(field.size()) * sizeof(cplx));
+  };
+  const auto hex = [](std::uint32_t v) {
+    std::ostringstream os;
+    os << "0x" << std::hex << std::uppercase << v;
+    return os.str();
+  };
+  const std::uint32_t got[6] = {
+      crc_after([&](View2D<cplx> f) { plan.forward(f); }),
+      crc_after([&](View2D<cplx> f) { plan.inverse(f); }),
+      crc_after([&](View2D<cplx> f) { plan.forward_multiply(f, kernel.view()); }),
+      crc_after([&](View2D<cplx> f) { plan.multiply_inverse(kernel.view(), f, true); }),
+      crc_after([&](View2D<cplx> f) { plan.forward_scale(f, alpha); }),
+      crc_after([&](View2D<cplx> f) { plan.inverse_scale(f, alpha); }),
+  };
+  const std::uint32_t want[6] = {c.forward,          c.inverse,       c.forward_multiply,
+                                 c.multiply_inverse, c.forward_scale, c.inverse_scale};
+  const char* names[6] = {"forward",          "inverse",       "forward_multiply",
+                          "multiply_inverse", "forward_scale", "inverse_scale"};
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(hex(got[i]), hex(want[i])) << names[i] << " " << c.rows << "x" << c.cols;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, Fft2DGolden,
+    ::testing::Values(
+    GoldenCase{64, 64, 0x7F8965BDu, 0x3F24DDC4u, 0xD00D11A7u,
+               0x37C9E168u, 0x0EB71A4Au, 0x457EE869u},
+    GoldenCase{128, 128, 0x29C299D1u, 0xCEB37026u, 0x9982BB3Bu,
+               0xD91C779Fu, 0x90C83175u, 0x3E148F9Au},
+    GoldenCase{17, 64, 0xEC76C6EFu, 0x9EDE6226u, 0x218A58B8u,
+               0x65669674u, 0xB8BCA5A7u, 0x741BFAF7u},
+    GoldenCase{8, 100, 0xEB08FF26u, 0x68A5ED3Cu, 0xA38819EAu,
+               0x47E0A367u, 0x95ED0000u, 0xE202DC82u},
+    GoldenCase{100, 72, 0xC11CEB60u, 0x72D8A65Au, 0x53F35951u,
+               0x3AEDA63Eu, 0xFE8EF850u, 0xF6923033u}));
 
 TEST(Fft2D, OnePlanSharedAcrossConcurrentThreads) {
   // One plan, four threads, each transforming its own field: the pooled

@@ -8,8 +8,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -425,6 +428,55 @@ TEST(Discovery, FallsBackPastACorruptShard) {
   auto older = ckpt::load_newest_valid(dir.path(), ckpt::RestoreFilter{});
   ASSERT_TRUE(older.has_value());
   EXPECT_LT(older->manifest.iteration, found->manifest.iteration);
+}
+
+TEST(Discovery, FallsBackPastHostileHeadersWithValidCrcs) {
+  // Headers that claim more data than their file holds, each behind a
+  // recomputed CRC: the newest shard claims a 2^20 x 2^20 frame, the next
+  // a 2^40 x 2^40 frame (the element count wraps to 0), the third newest
+  // manifest 2^31 - 1 tiles. Each must end in ptycho::Error inside
+  // discovery, which falls back to the newest snapshot left intact.
+  const Dataset& dataset = tiny_dataset();
+  ScratchDir dir("hostile");
+  ReconstructionRequest request = recovery_request(dir.path());
+  request.iterations = 4;
+  Reconstructor reconstructor(dataset);
+  (void)reconstructor.run(request);
+
+  std::vector<std::uint64_t> steps;
+  for (const auto& entry : fs::directory_iterator(dir.path())) {
+    std::uint64_t step = 0;
+    if (std::sscanf(entry.path().filename().string().c_str(), "step-%" SCNu64, &step) == 1) {
+      steps.push_back(step);
+    }
+  }
+  std::sort(steps.begin(), steps.end());
+  ASSERT_GE(steps.size(), 4u);
+  const std::uint64_t intact = steps[steps.size() - 4];
+
+  // Shard frame h and w sit after magic, version, rank, partial cost and
+  // RNG state (65 bytes) and the frame origin (16).
+  const auto patch_frame = [&dir](std::uint64_t step, std::uint64_t extent) {
+    const std::string shard = ckpt::step_dir(dir.path(), step) + "/shard-0000.ckpt";
+    testing::patch_checkpoint_file(shard, 65 + 16, extent, 8);
+    testing::patch_checkpoint_file(shard, 65 + 24, extent, 8);
+  };
+  patch_frame(steps[steps.size() - 1], std::uint64_t{1} << 20);
+  patch_frame(steps[steps.size() - 2], std::uint64_t{1} << 40);
+  {
+    const std::string third = ckpt::step_dir(dir.path(), steps[steps.size() - 3]);
+    const ckpt::Manifest m = ckpt::read_manifest(third);
+    // nranks follows magic, version, name, three u64 and three u32 fields;
+    // the tile count follows two flag bytes and the cost history.
+    const std::uint64_t nranks = 12 + 8 + m.dataset_name.size() + 24 + 12;
+    const std::uint64_t tile_count = nranks + 4 + 2 + 8 + 8 * m.cost_values.size();
+    testing::patch_checkpoint_file(third + "/manifest.ckpt", nranks, 0x7FFFFFFFu, 4);
+    testing::patch_checkpoint_file(third + "/manifest.ckpt", tile_count, 0x7FFFFFFFu, 8);
+  }
+
+  auto found = ckpt::load_newest_valid(dir.path(), ckpt::RestoreFilter{});
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->manifest.step, intact);
 }
 
 TEST(Discovery, FilterSkipsSnapshotsWithMismatchedSolverFlags) {
