@@ -9,12 +9,9 @@
 // bench::best_of_seconds): on shared runners interference only adds time,
 // so the fastest repeat is the comparable number.
 //
-// A/B columns quantify the fused spectral engine next to the plain one:
-// per-backend numbers (scalar vs SIMD kernel tables), radix-4 vs radix-2
-// FFT stage fusion, fused vs unfused propagator passes end-to-end in
-// probes/s, and the strict-vs-fast precision tier (FMA tables +
-// f16-compact measurement storage, self-gated by the cost-trajectory
-// comparator). A `provenance` object (host, cores, compiler) records
+// A/B columns: per-backend numbers (scalar vs SIMD kernel tables) and the
+// strict-vs-fast precision tier (FMA tables + f16-compact measurement
+// storage, self-gated by the cost-trajectory comparator). A `provenance` object (host, cores, compiler) records
 // where the JSON was produced — numbers are only comparable within one
 // host.
 //
@@ -333,10 +330,8 @@ int main(int argc, char** argv) {
                  "--backend " << backend_flag << " is not available on this machine");
   }
   const std::string active_backend = backend::active_name();
-  const fft::EngineFlags entry_flags = fft::engine_flags();
   std::printf("kernel backend: %s (simd %savailable)\n", active_backend.c_str(),
               backend::simd_available() ? "" : "un");
-  std::printf("fft engine: radix4=%d fused=%d\n", entry_flags.radix4, entry_flags.fused);
 
   std::printf("building %s dataset...\n", spec.c_str());
   const Dataset dataset = bench::build_repro_dataset(spec);
@@ -358,16 +353,6 @@ int main(int argc, char** argv) {
   const double rate_nt_ws = sweep_rate(dataset, threads, repeat, SweepSchedule::kWorkStealing);
   std::printf("  %d threads ws: %8.1f probes/s (vs static %.2fx)\n", threads, rate_nt_ws,
               rate_nt_ws / rate_nt);
-
-  // Fused-vs-unfused A/B, end to end: same dataset and thread count, with
-  // only the spectral fusion (propagator/multislice folded passes) off.
-  fft::EngineFlags unfused = entry_flags;
-  unfused.fused = false;
-  fft::set_engine_flags(unfused);
-  const double rate_1t_unfused = sweep_rate(dataset, 1, repeat);
-  fft::set_engine_flags(entry_flags);
-  std::printf("  1 thread unfused: %8.1f probes/s (fusion %.2fx)\n", rate_1t_unfused,
-              rate_1t / rate_1t_unfused);
 
   // Traced-vs-untraced A/B: the same 1-thread sweep with the telemetry
   // flags on (spans + counters live). The untraced column above is the
@@ -424,17 +409,6 @@ int main(int argc, char** argv) {
   std::printf("fft 256x256 fwd+inv (%s): %.1f us/pair, %.1f MB/s\n", active_backend.c_str(),
               fft.us_per_pair, fft.mb_per_sec);
 
-  // Radix4-vs-radix2 A/B: plans snapshot the flag at construction, so a
-  // fresh fft_rate run under toggled flags measures the other stage
-  // schedule with everything else identical.
-  fft::EngineFlags radix2_flags = entry_flags;
-  radix2_flags.radix4 = false;
-  fft::set_engine_flags(radix2_flags);
-  const FftResult fft_radix2 = fft_rate(fft_iters, repeat);
-  fft::set_engine_flags(entry_flags);
-  std::printf("fft 256x256 radix2 %.1f MB/s vs radix4 %.1f MB/s (%.2fx)\n",
-              fft_radix2.mb_per_sec, fft.mb_per_sec, fft.mb_per_sec / fft_radix2.mb_per_sec);
-
   // Per-backend comparison: kernel primitives against each table directly,
   // plus the full 2-D FFT with the dispatch temporarily forced. Restore
   // the requested backend afterwards so the numbers above stay honest.
@@ -487,11 +461,7 @@ int main(int argc, char** argv) {
        << "  \"backend\": \"" << active_backend << "\",\n"
        << "  \"simd_backend\": \"" << (have_simd ? backend::simd_kernels()->name : "none")
        << "\",\n"
-       << "  \"fft_engine\": {\"radix4\": " << (entry_flags.radix4 ? "true" : "false")
-       << ", \"fused\": " << (entry_flags.fused ? "true" : "false") << "},\n"
        << "  \"sweep_probes_per_sec_1t\": " << rate_1t << ",\n"
-       << "  \"sweep_probes_per_sec_1t_unfused\": " << rate_1t_unfused << ",\n"
-       << "  \"sweep_fusion_speedup\": " << rate_1t / rate_1t_unfused << ",\n"
        << "  \"sweep_probes_per_sec_1t_traced\": " << rate_1t_traced << ",\n"
        << "  \"sweep_trace_overhead\": " << rate_1t / rate_1t_traced << ",\n"
        << "  \"sweep_probes_per_sec_nt\": " << rate_nt << ",\n"
@@ -513,8 +483,6 @@ int main(int argc, char** argv) {
        << "  \"sweep_async_overlap_ratio\": " << overlap_ratio << ",\n"
        << "  \"fft2d_256_us_per_pair\": " << fft.us_per_pair << ",\n"
        << "  \"fft2d_256_mb_per_sec\": " << fft.mb_per_sec << ",\n"
-       << "  \"fft2d_256_mb_per_sec_radix2\": " << fft_radix2.mb_per_sec << ",\n"
-       << "  \"fft2d_radix4_speedup\": " << fft.mb_per_sec / fft_radix2.mb_per_sec << ",\n"
        << "  \"fft2d_256_mb_per_sec_scalar\": " << fft_scalar.mb_per_sec << ",\n"
        << "  \"fft2d_256_mb_per_sec_simd\": " << (have_simd ? fft_simd.mb_per_sec : 0.0)
        << ",\n"

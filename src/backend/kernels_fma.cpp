@@ -82,16 +82,6 @@ inline void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
   }
 }
 
-inline void butterfly_block(cplx* a, cplx* b, const cplx* tw, bool conj_tw, usize n) {
-  for (usize i = 0; i < n; ++i) {
-    const cplx w = conj_tw ? std::conj(tw[i]) : tw[i];
-    const cplx t = cmul_fma(w, b[i]);
-    const cplx u = a[i];
-    a[i] = u + t;
-    b[i] = u - t;
-  }
-}
-
 inline void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1,
                              const cplx* tw2, const cplx* tw3, bool conj_tw, usize n) {
   for (usize i = 0; i < n; ++i) {
@@ -174,7 +164,6 @@ constexpr Kernels kScalarFma = {
     &fscalar::axpy_lanes,
     &fscalar::conj_scale_lanes,
     &fscalar::butterfly_lanes,
-    &fscalar::butterfly_block,
     &fscalar::butterfly4_block,
     &fscalar::butterfly4_lanes,
     &fscalar::cmul_rows_tiled,
@@ -301,19 +290,6 @@ void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
   fscalar::butterfly_lanes(a + i, b + i, w, n - i);
 }
 
-void butterfly_block(cplx* a, cplx* b, const cplx* tw, bool conj_tw, usize n) {
-  const __m256 conj_mask = conj_tw ? sign_imag() : _mm256_setzero_ps();
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m256 w = _mm256_xor_ps(load8(tw + i), conj_mask);
-    const __m256 t = cmul8(w, load8(b + i));
-    const __m256 u = load8(a + i);
-    store8(a + i, _mm256_add_ps(u, t));
-    store8(b + i, _mm256_sub_ps(u, t));
-  }
-  fscalar::butterfly_block(a + i, b + i, tw + i, conj_tw, n - i);
-}
-
 void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1, const cplx* tw2,
                       const cplx* tw3, bool conj_tw, usize n) {
   const __m256 conj_mask = conj_tw ? sign_imag() : _mm256_setzero_ps();
@@ -432,7 +408,6 @@ constexpr Kernels kAvx2Fma = {
     &axpy_lanes,
     &conj_scale_lanes,
     &butterfly_lanes,
-    &butterfly_block,
     &butterfly4_block,
     &butterfly4_lanes,
     &cmul_rows_tiled,
@@ -566,19 +541,6 @@ void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
   fscalar::butterfly_lanes(a + i, b + i, w, n - i);
 }
 
-void butterfly_block(cplx* a, cplx* b, const cplx* tw, bool conj_tw, usize n) {
-  const uint32x4_t conj_mask = conj_tw ? sign_imag() : vdupq_n_u32(0u);
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const float32x4_t w = flip_signs(load4(tw + i), conj_mask);
-    const float32x4_t t = cmul4(w, load4(b + i));
-    const float32x4_t u = load4(a + i);
-    store4(a + i, vaddq_f32(u, t));
-    store4(b + i, vsubq_f32(u, t));
-  }
-  fscalar::butterfly_block(a + i, b + i, tw + i, conj_tw, n - i);
-}
-
 void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1, const cplx* tw2,
                       const cplx* tw3, bool conj_tw, usize n) {
   const uint32x4_t conj_mask = conj_tw ? sign_imag() : vdupq_n_u32(0u);
@@ -696,7 +658,6 @@ constexpr Kernels kNeonFma = {
     &axpy_lanes,
     &conj_scale_lanes,
     &butterfly_lanes,
-    &butterfly_block,
     &butterfly4_block,
     &butterfly4_lanes,
     &cmul_rows_tiled,

@@ -130,19 +130,6 @@ void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
   scalar::butterfly_lanes(a + i, b + i, w, n - i);
 }
 
-void butterfly_block(cplx* a, cplx* b, const cplx* tw, bool conj_tw, usize n) {
-  const __m256 conj_mask = conj_tw ? sign_imag() : _mm256_setzero_ps();
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m256 w = _mm256_xor_ps(load8(tw + i), conj_mask);
-    const __m256 t = cmul8(w, load8(b + i));
-    const __m256 u = load8(a + i);
-    store8(a + i, _mm256_add_ps(u, t));
-    store8(b + i, _mm256_sub_ps(u, t));
-  }
-  scalar::butterfly_block(a + i, b + i, tw + i, conj_tw, n - i);
-}
-
 void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1, const cplx* tw2,
                       const cplx* tw3, bool conj_tw, usize n) {
   const __m256 conj_mask = conj_tw ? sign_imag() : _mm256_setzero_ps();
@@ -263,7 +250,6 @@ constexpr Kernels kAvx2 = {
     &axpy_lanes,
     &conj_scale_lanes,
     &butterfly_lanes,
-    &butterfly_block,
     &butterfly4_block,
     &butterfly4_lanes,
     &cmul_rows_tiled,
@@ -395,19 +381,6 @@ void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
   scalar::butterfly_lanes(a + i, b + i, w, n - i);
 }
 
-void butterfly_block(cplx* a, cplx* b, const cplx* tw, bool conj_tw, usize n) {
-  const uint32x4_t conj_mask = conj_tw ? sign_imag() : vdupq_n_u32(0u);
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const float32x4_t w = flip_signs(load4(tw + i), conj_mask);
-    const float32x4_t t = cmul4(w, load4(b + i));
-    const float32x4_t u = load4(a + i);
-    store4(a + i, vaddq_f32(u, t));
-    store4(b + i, vsubq_f32(u, t));
-  }
-  scalar::butterfly_block(a + i, b + i, tw + i, conj_tw, n - i);
-}
-
 void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1, const cplx* tw2,
                       const cplx* tw3, bool conj_tw, usize n) {
   const uint32x4_t conj_mask = conj_tw ? sign_imag() : vdupq_n_u32(0u);
@@ -526,7 +499,6 @@ constexpr Kernels kNeon = {
     &axpy_lanes,
     &conj_scale_lanes,
     &butterfly_lanes,
-    &butterfly_block,
     &butterfly4_block,
     &butterfly4_lanes,
     &cmul_rows_tiled,

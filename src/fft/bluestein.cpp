@@ -1,5 +1,5 @@
 // Bluestein's chirp-z transform is implemented inside Plan1D (fft/plan.cpp)
-// because it shares the radix-2 kernels and twiddle tables. This file
+// because it runs its padded convolution through the plan's radix-4 tables. This file
 // carries the standalone reference DFT used by tests and by the plan
 // self-check utility.
 #include <cmath>

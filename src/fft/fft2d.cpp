@@ -5,7 +5,6 @@
 #include "backend/kernels.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
-#include "tensor/ops.hpp"
 
 namespace ptycho::fft {
 
@@ -188,25 +187,7 @@ void Fft2D::inverse_scale(View2D<cplx> field, cplx alpha) const {
 }
 
 void Fft2D::adjoint_forward(View2D<cplx> field) const {
-  const cplx alpha(static_cast<real>(size()), 0);
-  if (engine_flags().fused) {
-    inverse_scale(field, alpha);
-  } else {
-    // Honest escape hatch: PTYCHO_FFT_FUSED=0 must unfuse every folded
-    // pass, this normalization included, so A/B runs measure the fusion.
-    inverse(field);
-    scale(alpha, field);
-  }
-}
-
-void Fft2D::adjoint_inverse(View2D<cplx> field) const {
-  const cplx alpha(real(1) / static_cast<real>(size()), 0);
-  if (engine_flags().fused) {
-    forward_scale(field, alpha);
-  } else {
-    forward(field);
-    scale(alpha, field);
-  }
+  inverse_scale(field, cplx(static_cast<real>(size()), 0));
 }
 
 namespace {

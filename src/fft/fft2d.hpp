@@ -61,11 +61,9 @@ class Fft2D {
   /// In-place inverse with 1/(rows*cols) normalization.
   void inverse(View2D<cplx> field) const;
 
-  /// Adjoint of `forward` = size() * inverse (see plan.hpp conventions).
+  /// Adjoint of `forward` = size() * inverse (see plan.hpp conventions),
+  /// with the scale fused into the inverse's last pass.
   void adjoint_forward(View2D<cplx> field) const;
-
-  /// Adjoint of `inverse` = (1/size()) * forward.
-  void adjoint_inverse(View2D<cplx> field) const;
 
   /// Fused forward(field); field[i] *= kernel[i] (conj(kernel[i]) when
   /// `conj_kernel`). Bitwise identical to the composed sequence; the

@@ -2,37 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "backend/kernels.hpp"
 #include "common/error.hpp"
 
 namespace ptycho::fft {
-
-namespace {
-/// A flag variable disables its feature iff set to exactly "0"; unset,
-/// empty or anything else leaves the feature on (misspellings must never
-/// silently turn the fast path off).
-bool env_flag_on(const char* name) {
-  const char* v = std::getenv(name);
-  return v == nullptr || !(v[0] == '0' && v[1] == '\0');
-}
-
-EngineFlags& mutable_engine_flags() {
-  static EngineFlags flags = [] {
-    EngineFlags f;
-    f.radix4 = env_flag_on("PTYCHO_FFT_RADIX4");
-    f.fused = env_flag_on("PTYCHO_FFT_FUSED");
-    return f;
-  }();
-  return flags;
-}
-}  // namespace
-
-const EngineFlags& engine_flags() { return mutable_engine_flags(); }
-
-void set_engine_flags(const EngineFlags& flags) { mutable_engine_flags() = flags; }
 
 usize next_pow2(usize n) {
   // Guard the doubling loop: for n above the largest representable power
@@ -45,21 +20,27 @@ usize next_pow2(usize n) {
   return p;
 }
 
-struct Plan1D::Radix2Tables {
+struct Plan1D::Pow2Tables {
+  Pow2Tables() = default;
+  explicit Pow2Tables(usize n)
+      : bitrev(detail::make_bitrev(n)), radix4(detail::make_radix4_tables(n)) {}
+
   std::vector<usize> bitrev;
-  std::vector<cplx> twiddles;
-  detail::Radix4Tables radix4;  // populated iff use_radix4
-  bool use_radix4 = false;      // engine_flags().radix4 at construction
+  detail::Radix4Tables radix4;
+
+  void run(cplx* data, usize n, int sign) const {
+    detail::radix4_transform(data, n, sign, bitrev, radix4);
+  }
+  void run_strided(cplx* data, usize n, usize stride, usize count, int sign) const {
+    detail::radix4_transform_strided(data, n, stride, count, sign, bitrev, radix4);
+  }
 };
 
 struct Plan1D::BluesteinTables {
   usize m = 0;                      // padded pow2 size >= 2n-1
   std::vector<cplx> chirp;          // a_k = exp(-iπ k² / n), k in [0, n)
   std::vector<cplx> filter_fft;     // forward FFT of b (conjugate chirp, wrapped)
-  std::vector<usize> bitrev;        // tables for size m
-  std::vector<cplx> twiddles;
-  detail::Radix4Tables radix4;      // populated iff use_radix4
-  bool use_radix4 = false;
+  Pow2Tables inner;                 // radix-4 tables for size m
 };
 
 namespace {
@@ -75,55 +56,16 @@ cplx chirp_value(usize k, usize n, int sign) {
 }
 }  // namespace
 
-namespace {
-/// Pow2 kernel selection: the radix-4 schedule when the plan was built with
-/// it, the classic radix-2 sweep otherwise.
-template <typename Tables>
-void run_pow2(cplx* data, usize n, int sign, const Tables& t) {
-  if (t.use_radix4) {
-    detail::radix4_transform(data, n, sign, t.bitrev, t.radix4);
-  } else {
-    detail::radix2_transform(data, n, sign, t.bitrev, t.twiddles);
-  }
-}
-
-template <typename Tables>
-void run_pow2_strided(cplx* data, usize n, usize stride, usize count, int sign,
-                      const Tables& t) {
-  if (t.use_radix4) {
-    detail::radix4_transform_strided(data, n, stride, count, sign, t.bitrev, t.radix4);
-  } else {
-    detail::radix2_transform_strided(data, n, stride, count, sign, t.bitrev, t.twiddles);
-  }
-}
-}  // namespace
-
 Plan1D::Plan1D(usize n) : n_(n) {
   PTYCHO_REQUIRE(n >= 1, "FFT size must be >= 1");
-  const bool radix4 = engine_flags().radix4;
-  // Exactly one stage-schedule table is built — the other would never be
-  // read (run_pow2 dispatches on use_radix4), and the tables are O(n).
   if (is_pow2(n)) {
-    radix2_ = std::make_unique<Radix2Tables>();
-    radix2_->bitrev = detail::make_bitrev(n);
-    radix2_->use_radix4 = radix4;
-    if (radix4) {
-      radix2_->radix4 = detail::make_radix4_tables(n);
-    } else {
-      radix2_->twiddles = detail::make_twiddles(n);
-    }
+    pow2_ = std::make_unique<Pow2Tables>(n);
     return;
   }
   bluestein_ = std::make_unique<BluesteinTables>();
   auto& bt = *bluestein_;
   bt.m = next_pow2(2 * n - 1);
-  bt.bitrev = detail::make_bitrev(bt.m);
-  bt.use_radix4 = radix4;
-  if (radix4) {
-    bt.radix4 = detail::make_radix4_tables(bt.m);
-  } else {
-    bt.twiddles = detail::make_twiddles(bt.m);
-  }
+  bt.inner = Pow2Tables(bt.m);
   bt.chirp.resize(n);
   for (usize k = 0; k < n; ++k) bt.chirp[k] = chirp_value(k, n, -1);
   // Filter b[j] = conj(chirp)[|j|] wrapped onto [0, m).
@@ -133,7 +75,7 @@ Plan1D::Plan1D(usize n) : n_(n) {
     filter[k] = b;
     if (k != 0) filter[bt.m - k] = b;
   }
-  run_pow2(filter.data(), bt.m, -1, bt);
+  bt.inner.run(filter.data(), bt.m, -1);
   bt.filter_fft = std::move(filter);
 }
 
@@ -146,17 +88,17 @@ thread_local std::vector<cplx> t_scratch;
 }
 
 void Plan1D::forward(cplx* data) const {
-  if (radix2_) {
-    run_pow2(data, n_, -1, *radix2_);
+  if (pow2_) {
+    pow2_->run(data, n_, -1);
     return;
   }
   const auto& bt = *bluestein_;
   const backend::Kernels& kern = backend::kernels();
   t_scratch.assign(bt.m, cplx{});
   kern.chirp_mul_lanes(t_scratch.data(), data, bt.chirp.data(), real(1), n_);
-  run_pow2(t_scratch.data(), bt.m, -1, bt);
+  bt.inner.run(t_scratch.data(), bt.m, -1);
   kern.cmul_lanes(t_scratch.data(), t_scratch.data(), bt.filter_fft.data(), bt.m);
-  run_pow2(t_scratch.data(), bt.m, +1, bt);
+  bt.inner.run(t_scratch.data(), bt.m, +1);
   const real inv_m = real(1) / static_cast<real>(bt.m);
   kern.chirp_mul_lanes(data, t_scratch.data(), bt.chirp.data(), inv_m, n_);
 }
@@ -164,11 +106,11 @@ void Plan1D::forward(cplx* data) const {
 void Plan1D::inverse(cplx* data) const {
   const backend::Kernels& kern = backend::kernels();
   const real inv_n = real(1) / static_cast<real>(n_);
-  if (radix2_) {
+  if (pow2_) {
     // The pow2 kernels take the sign directly: one conjugated-twiddle sweep
     // plus one scale pass, instead of the two extra conjugation passes of
     // the generic trick below.
-    run_pow2(data, n_, +1, *radix2_);
+    pow2_->run(data, n_, +1);
     kern.scale_lanes(data, data, cplx(inv_n, 0), n_);
     return;
   }
@@ -185,8 +127,8 @@ usize Plan1D::strided_scratch_size(usize count) const {
 
 void Plan1D::forward_strided(cplx* data, usize stride, usize count, cplx* scratch) const {
   PTYCHO_REQUIRE(count >= 1 && stride >= count, "strided batch: need stride >= count >= 1");
-  if (radix2_) {
-    run_pow2_strided(data, n_, stride, count, -1, *radix2_);
+  if (pow2_) {
+    pow2_->run_strided(data, n_, stride, count, -1);
     return;
   }
   // Bluestein on the whole batch at once: the padded convolution runs
@@ -198,12 +140,12 @@ void Plan1D::forward_strided(cplx* data, usize stride, usize count, cplx* scratc
   for (usize k = 0; k < n_; ++k) {
     kern.scale_lanes(scratch + k * count, data + k * stride, bt.chirp[k], count);
   }
-  run_pow2_strided(scratch, bt.m, count, count, -1, bt);
+  bt.inner.run_strided(scratch, bt.m, count, count, -1);
   for (usize k = 0; k < bt.m; ++k) {
     cplx* row = scratch + k * count;
     kern.scale_lanes(row, row, bt.filter_fft[k], count);
   }
-  run_pow2_strided(scratch, bt.m, count, count, +1, bt);
+  bt.inner.run_strided(scratch, bt.m, count, count, +1);
   const real inv_m = real(1) / static_cast<real>(bt.m);
   for (usize k = 0; k < n_; ++k) {
     kern.scale_chirp_lanes(data + k * stride, scratch + k * count, inv_m, bt.chirp[k], count);
@@ -214,11 +156,11 @@ void Plan1D::inverse_strided(cplx* data, usize stride, usize count, cplx* scratc
   PTYCHO_REQUIRE(count >= 1 && stride >= count, "strided batch: need stride >= count >= 1");
   const backend::Kernels& kern = backend::kernels();
   const real inv_n = real(1) / static_cast<real>(n_);
-  if (radix2_) {
+  if (pow2_) {
     // Direct conjugated-twiddle sweep + normalization, as in the contiguous
     // inverse. A dense batch (stride == count, the 2-D tile layout) scales
     // in one dispatched call over the whole tile.
-    run_pow2_strided(data, n_, stride, count, +1, *radix2_);
+    pow2_->run_strided(data, n_, stride, count, +1);
     if (stride == count) {
       kern.scale_lanes(data, data, cplx(inv_n, 0), n_ * count);
     } else {

@@ -1,7 +1,6 @@
-// Fused radix-4 stage pairs for the power-of-two path. Two consecutive
-// radix-2 stages (half-lengths h and 2h) over bit-reversal-ordered data
-// form one radix-4 butterfly sweep: the stage-block layout, permutation
-// and twiddle conventions of radix2.cpp carry over unchanged, but each
+// The power-of-two FFT kernel: fused radix-4 stage pairs. Two consecutive
+// radix-2 decimation-in-time stages (half-lengths h and 2h) over
+// bit-reversal-ordered data form one radix-4 butterfly sweep: each
 // element is loaded and stored once per pair of stages instead of twice,
 // and the trivial +-i twiddle of the second stage becomes an exact re/im
 // swap, cutting the complex multiplies from four to three per four points.
@@ -20,6 +19,21 @@ cplx unit_root(double numerator, double denominator) {
   return cplx(static_cast<real>(std::cos(angle)), static_cast<real>(std::sin(angle)));
 }
 }  // namespace
+
+std::vector<usize> make_bitrev(usize n) {
+  PTYCHO_CHECK(is_pow2(n), "bitrev requires a power-of-two size");
+  std::vector<usize> rev(n, 0);
+  usize bits = 0;
+  while ((usize(1) << bits) < n) ++bits;
+  for (usize i = 0; i < n; ++i) {
+    usize r = 0;
+    for (usize b = 0; b < bits; ++b) {
+      if ((i >> b) & 1u) r |= usize(1) << (bits - 1 - b);
+    }
+    rev[i] = r;
+  }
+  return rev;
+}
 
 Radix4Tables make_radix4_tables(usize n) {
   PTYCHO_CHECK(is_pow2(n), "radix-4 tables require a power-of-two size");
@@ -132,8 +146,8 @@ void radix4_transform_strided(cplx* data, usize n, usize stride, usize count, in
       }
     }
   }
-  // Each (base, k) pair touches four lane rows per call — a quarter of the
-  // dispatched calls of the radix-2 strided sweep for the same data.
+  // Each (base, k) pair is one shared-twiddle butterfly across the batch,
+  // touching four lane rows per dispatched call.
   for (const Radix4Tables::Stage& st : r4.stages) {
     const usize h = st.h;
     const cplx* tw1 = r4.tw.data() + st.offset;

@@ -154,22 +154,11 @@ void MultisliceOperator::forward(const Probe& probe, const FramedVolume& volume,
   const cplx unitary(real(1) / static_cast<real>(grid_.probe_n), 0);
   const auto lanes = static_cast<usize>(n) * static_cast<usize>(n);
   if (fast_spectral) {
-    const backend::Kernels& kern = backend::kernels();
-    const CArray2D& h = propagator_.kernel();
-    if (fft::engine_flags().fused) {
-      propagator_.fft().forward_multiply(ws.psi.view(), h.view());
-    } else {
-      propagator_.fft().forward(ws.psi.view());
-      kern.cmul_lanes(ws.psi.data(), ws.psi.data(), h.data(), lanes);
-    }
-    kern.scale_lanes(ws.far.data(), ws.psi.data(), unitary, lanes);
-  } else if (fft::engine_flags().fused) {
-    copy(ws.psi.view(), ws.far.view());
-    propagator_.fft().forward_scale(ws.far.view(), unitary);
+    propagator_.fft().forward_multiply(ws.psi.view(), propagator_.kernel().view());
+    backend::kernels().scale_lanes(ws.far.data(), ws.psi.data(), unitary, lanes);
   } else {
     copy(ws.psi.view(), ws.far.view());
-    propagator_.fft().forward(ws.far.view());
-    scale(unitary, ws.far.view());
+    propagator_.fft().forward_scale(ws.far.view(), unitary);
   }
 }
 
@@ -248,23 +237,10 @@ double MultisliceOperator::cost_and_gradient(const Probe& probe, const FramedVol
       backend::active_precision() == backend::Precision::kFast && slices > 0;
   const backend::Kernels& kern = backend::kernels();
   if (fast_spectral) {
-    const CArray2D& h = propagator_.kernel();
     const auto lanes = static_cast<usize>(n) * static_cast<usize>(n);
-    kern.cmul_conj_lanes(ws.grad.data(), ws.grad.data(), h.data(), lanes);
-    if (fft::engine_flags().fused) {
-      propagator_.fft().inverse_scale(ws.grad.view(),
-                                      cplx(static_cast<real>(grid_.probe_n), 0));
-    } else {
-      propagator_.fft().adjoint_forward(ws.grad.view());
-      scale(cplx(real(1) / static_cast<real>(grid_.probe_n), 0), ws.grad.view());
-    }
-  } else if (fft::engine_flags().fused) {
-    propagator_.fft().inverse_scale(ws.grad.view(),
-                                    cplx(static_cast<real>(grid_.probe_n), 0));
-  } else {
-    propagator_.fft().adjoint_forward(ws.grad.view());
-    scale(cplx(real(1) / static_cast<real>(grid_.probe_n), 0), ws.grad.view());
+    kern.cmul_conj_lanes(ws.grad.data(), ws.grad.data(), propagator_.kernel().data(), lanes);
   }
+  propagator_.fft().inverse_scale(ws.grad.view(), cplx(static_cast<real>(grid_.probe_n), 0));
 
   const real sigma = config_.sigma;
   for (index_t s = slices - 1; s >= 0; --s) {

@@ -171,27 +171,6 @@ TEST(BackendBitwise, ButterflyLanes) {
   }
 }
 
-TEST(BackendBitwise, ButterflyBlock) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
-  const Kernels& sc = scalar_kernels();
-  const Kernels& vec = *simd_kernels();
-  for (const usize n : kSizes) {
-    for (const bool conj_tw : {false, true}) {
-      const std::vector<cplx> tw = random_lanes(n, 3 * n + 29);
-      const std::vector<cplx> a0 = random_lanes(n, 5 * n + 1);
-      const std::vector<cplx> b0 = random_lanes(n, 5 * n + 2);
-      std::vector<cplx> a_sc = a0;
-      std::vector<cplx> b_sc = b0;
-      std::vector<cplx> a_vec = a0;
-      std::vector<cplx> b_vec = b0;
-      sc.butterfly_block(a_sc.data(), b_sc.data(), tw.data(), conj_tw, n);
-      vec.butterfly_block(a_vec.data(), b_vec.data(), tw.data(), conj_tw, n);
-      EXPECT_TRUE(bitwise_equal(a_sc.data(), a_vec.data(), n)) << "n=" << n;
-      EXPECT_TRUE(bitwise_equal(b_sc.data(), b_vec.data(), n)) << "n=" << n;
-    }
-  }
-}
-
 TEST(BackendBitwise, Butterfly4Block) {
   if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
   const Kernels& sc = scalar_kernels();

@@ -143,18 +143,23 @@ TEST(PrecisionBitwise, ScalarFmaMatchesVectorFma) {
       });
     }
   }
-  // butterfly_block (two outputs) and potential_backprop (four operands).
+  // butterfly4_block (four outputs, the pow2 FFT stage kernel) and
+  // potential_backprop (four operands).
   for (const usize n : {usize{5}, usize{16}, usize{100}}) {
     for (const bool conj_tw : {false, true}) {
-      const std::vector<cplx> tw = random_lanes(n, 3 * n + 29);
-      std::vector<cplx> a_sc = random_lanes(n, 5 * n + 1);
-      std::vector<cplx> b_sc = random_lanes(n, 5 * n + 2);
-      std::vector<cplx> a_vec = a_sc;
-      std::vector<cplx> b_vec = b_sc;
-      sc.butterfly_block(a_sc.data(), b_sc.data(), tw.data(), conj_tw, n);
-      vec.butterfly_block(a_vec.data(), b_vec.data(), tw.data(), conj_tw, n);
-      EXPECT_TRUE(bitwise_equal(a_sc.data(), a_vec.data(), n)) << "n=" << n;
-      EXPECT_TRUE(bitwise_equal(b_sc.data(), b_vec.data(), n)) << "n=" << n;
+      const std::vector<cplx> tw1 = random_lanes(n, 3 * n + 29);
+      const std::vector<cplx> tw2 = random_lanes(n, 3 * n + 30);
+      const std::vector<cplx> tw3 = random_lanes(n, 3 * n + 31);
+      std::vector<cplx> x_sc[4];
+      for (usize j = 0; j < 4; ++j) x_sc[j] = random_lanes(n, 5 * n + j);
+      std::vector<cplx> x_vec[4] = {x_sc[0], x_sc[1], x_sc[2], x_sc[3]};
+      sc.butterfly4_block(x_sc[0].data(), x_sc[1].data(), x_sc[2].data(), x_sc[3].data(),
+                          tw1.data(), tw2.data(), tw3.data(), conj_tw, n);
+      vec.butterfly4_block(x_vec[0].data(), x_vec[1].data(), x_vec[2].data(), x_vec[3].data(),
+                           tw1.data(), tw2.data(), tw3.data(), conj_tw, n);
+      for (usize j = 0; j < 4; ++j) {
+        EXPECT_TRUE(bitwise_equal(x_sc[j].data(), x_vec[j].data(), n)) << "n=" << n;
+      }
     }
     const std::vector<cplx> psi = random_lanes(n, 7 * n + 1);
     const std::vector<cplx> trans = random_lanes(n, 7 * n + 2);

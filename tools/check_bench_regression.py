@@ -7,14 +7,11 @@ the tolerance.
         [--tolerance 0.25] [--keys sweep_probes_per_sec_1t,fft2d_256_mb_per_sec]
 
 The guarded metrics default to the single-thread throughputs (gradient
-sweep probes/sec and 256x256 FFT MB/s, each also in its fallback-engine
-variant): they are the least noisy numbers bench_sweep emits — no
-thread-scheduling variance, and since PR 4 every one is a warmed
-best-of-N measurement, so a tolerance as tight as 25% is meaningful on
-shared CI runners. The fused-engine numbers (sweep_probes_per_sec_1t,
-fft2d_256_mb_per_sec) guard the hot path; the *_unfused and *_radix2
-variants guard the PTYCHO_FFT_FUSED=0 / PTYCHO_FFT_RADIX4=0 escape
-hatches so the A/B baseline itself cannot silently rot, and
+sweep probes/sec and 256x256 FFT MB/s): they are the least noisy
+numbers bench_sweep emits — no thread-scheduling variance, and since
+PR 4 every one is a warmed best-of-N measurement, so a tolerance as
+tight as 25% is meaningful on shared CI runners. The engine numbers
+(sweep_probes_per_sec_1t, fft2d_256_mb_per_sec) guard the hot path,
 sweep_probes_per_sec_ws guards the work-stealing scheduler (at 1 thread
 it must stay within noise of the static path), and
 sweep_probes_per_sec_1t_traced guards the telemetry-on sweep so span
@@ -47,7 +44,6 @@ import sys
 
 DEFAULT_KEYS = (
     "sweep_probes_per_sec_1t,fft2d_256_mb_per_sec,"
-    "sweep_probes_per_sec_1t_unfused,fft2d_256_mb_per_sec_radix2,"
     "sweep_probes_per_sec_ws,sweep_probes_per_sec_1t_traced,"
     "sweep_probes_per_sec_sync_ckpt,sweep_probes_per_sec_async,"
     "sweep_speedup,"
