@@ -102,9 +102,11 @@ struct Kernels {
 
 /// Numerics tier. kStrict is the bitwise-deterministic contract documented
 /// above (no fusing, -ffp-contract=off TUs). kFast swaps in FMA variants of
-/// the same primitives — fused multiply-adds change the rounding of each
-/// element (fewer roundings, not more error), so fast-tier output is
-/// tolerance-gated against strict, never memcmp'd (tests/test_precision.cpp).
+/// the same primitives and nothing else: callers run one operation
+/// sequence on both tiers, and only the table behind it differs. Fused
+/// multiply-adds change the rounding of each element (fewer roundings, not
+/// more error), so fast-tier output is tolerance-gated against strict,
+/// never memcmp'd (tests/test_precision.cpp).
 enum class Precision { kStrict, kFast };
 
 /// The active table (lazily initialized as documented above).

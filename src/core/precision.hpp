@@ -2,10 +2,10 @@
 // run at, and which compact storage format (if any) holds the fast tier's
 // read-mostly arrays. Parsed from --precision, carried by ExecOptions.
 //
-//   strict     — today's bitwise-deterministic no-FMA f32 path (default).
-//   fast       — FMA kernel tables + f16 compact storage (same as fast:f16)
-//                + spectral roundtrip elision in the multislice operator
-//                (the far-field F·F⁻¹ pairs, see physics/multislice.cpp).
+//   strict     — the bitwise-deterministic no-FMA f32 path (default).
+//   fast       — FMA kernel tables + f16 compact storage (same as fast:f16).
+//                The multislice operation sequence itself is the same on
+//                both tiers (see physics/multislice.hpp).
 //   fast:f16   — explicit storage pick: f16 (binary16) quantization stays
 //                inside the 1e-3 tolerance gate.
 //   fast:bf16  — wide-range storage pick (8-bit mantissa, f32 exponent

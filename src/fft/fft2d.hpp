@@ -27,7 +27,10 @@
 //
 // Each fused call is bitwise identical to its composed two-step sequence
 // (the folded op runs the same dispatched per-element kernels, just on
-// cache-resident data) while costing zero extra full-field passes.
+// cache-resident data) while costing zero extra full-field passes. They
+// are the engine's only spectral path: the propagator runs
+// forward_multiply/inverse and forward/multiply_inverse, the multislice
+// far field forward_multiply and its adjoint inverse_scale.
 // Scratch (the row tile and Bluestein pads) lives in a small plan-owned
 // pool, leased per call, so a single Fft2D is safe to share across
 // concurrently executing workers as long as each transforms its own field.

@@ -129,37 +129,29 @@ void MultisliceOperator::forward(const Probe& probe, const FramedVolume& volume,
   PTYCHO_REQUIRE(window.h == n && window.w == n, "probe window must be probe_n x probe_n");
   PTYCHO_REQUIRE(volume.frame.contains(window), "probe window must lie inside the tile frame");
   const index_t slices = volume.slices();
+  PTYCHO_REQUIRE(slices >= 1, "multislice volume needs at least one slice");
 
   compute_transmittance(volume, window, ws);
 
-  // Fast tier: the last slice's propagation ends with an inverse FFT that
-  // the far-field forward immediately undoes. F(F^-1(x)) == x exactly in
-  // algebra, so the fast tier elides the roundtrip and forms
-  // far = (1/n) * H .* F(T_last .* psi) directly — one full FFT pair
-  // saved per evaluation, at the cost of the roundtrip's roundoff no
-  // longer being replayed. Strict keeps the composed sequence bitwise.
-  const bool fast_spectral =
-      backend::active_precision() == backend::Precision::kFast && slices > 0;
   copy(probe.field().view(), ws.psi.view());
   for (index_t s = 0; s < slices; ++s) {
     // Record the wavefield entering the slice (needed for the adjoint).
     copy(ws.psi.view(), ws.psi_in[static_cast<usize>(s)].view());
     multiply_inplace(slice_transmittance(ws, s), ws.psi.view());
-    if (!fast_spectral || s + 1 < slices) propagator_.apply(ws.psi.view());
+    if (s + 1 < slices) propagator_.apply(ws.psi.view());
   }
-  // Unitary far-field transform: |far|^2 integrates to the exit-wave
-  // energy (Parseval), so measurement magnitudes and gradients are
-  // independent of the window size. The 1/n normalization rides in the
-  // transform's last pass on the fused engine.
+  // The last slice's propagation would end with an inverse FFT that the
+  // far-field forward immediately undoes; F(F^-1(x)) == x, so the
+  // roundtrip is elided and the far field is formed directly as
+  //   far = (1/n) * H .* F(T_last .* psi)
+  // with H riding in the forward's last pass. The 1/n makes the far-field
+  // transform unitary: |far|^2 integrates to the exit-wave energy
+  // (Parseval), so measurement magnitudes and gradients are independent
+  // of the window size.
   const cplx unitary(real(1) / static_cast<real>(grid_.probe_n), 0);
   const auto lanes = static_cast<usize>(n) * static_cast<usize>(n);
-  if (fast_spectral) {
-    propagator_.fft().forward_multiply(ws.psi.view(), propagator_.kernel().view());
-    backend::kernels().scale_lanes(ws.far.data(), ws.psi.data(), unitary, lanes);
-  } else {
-    copy(ws.psi.view(), ws.far.view());
-    propagator_.fft().forward_scale(ws.far.view(), unitary);
-  }
+  propagator_.fft().forward_multiply(ws.psi.view(), propagator_.kernel().view());
+  backend::kernels().scale_lanes(ws.far.data(), ws.psi.data(), unitary, lanes);
 }
 
 void MultisliceOperator::simulate_magnitude(const Probe& probe, const FramedVolume& volume,
@@ -223,30 +215,22 @@ double MultisliceOperator::cost_and_gradient(const Probe& probe, const FramedVol
     }
   }
 
-  // Back through the unitary far-field transform: the adjoint of (1/n)*F
-  // is (1/n)*F^H = n * inverse. The fused engine applies the combined
-  // factor in the inverse's last pass (n^2 * 1/n collapses to n, exact for
-  // the power-of-two probe windows).
-  //
-  // Fast tier: the adjoint at the last slice starts with a forward FFT
-  // that exactly undoes this inverse, so the tier folds the pair into
-  // grad = n * F^-1(conj(H) .* grad_far) — the mirror of the roundtrip
-  // elided in forward(). Strict replays the composed sequence bitwise.
+  // Back through the elided far field, the mirror of forward(): the
+  // adjoint of x -> (1/n) * H .* F(x) is g -> (1/n) * F^H(conj(H) .* g)
+  // = n * F^-1(conj(H) .* g), since F^H = n^2 * F^-1 on an n x n window.
+  // The factor n (exact for the power-of-two probe windows) rides in the
+  // inverse's last pass.
   const index_t slices = volume.slices();
-  const bool fast_spectral =
-      backend::active_precision() == backend::Precision::kFast && slices > 0;
   const backend::Kernels& kern = backend::kernels();
-  if (fast_spectral) {
-    const auto lanes = static_cast<usize>(n) * static_cast<usize>(n);
-    kern.cmul_conj_lanes(ws.grad.data(), ws.grad.data(), propagator_.kernel().data(), lanes);
-  }
+  const auto lanes = static_cast<usize>(n) * static_cast<usize>(n);
+  kern.cmul_conj_lanes(ws.grad.data(), ws.grad.data(), propagator_.kernel().data(), lanes);
   propagator_.fft().inverse_scale(ws.grad.view(), cplx(static_cast<real>(grid_.probe_n), 0));
 
   const real sigma = config_.sigma;
   for (index_t s = slices - 1; s >= 0; --s) {
-    // Back through the propagator; at the last slice the fast tier already
-    // applied conj(H) spectrally above.
-    if (!fast_spectral || s + 1 < slices) propagator_.apply_adjoint(ws.grad.view());
+    // Back through the propagator; at the last slice conj(H) was already
+    // applied spectrally above.
+    if (s + 1 < slices) propagator_.apply_adjoint(ws.grad.view());
     const auto us = static_cast<usize>(s);
     View2D<const cplx> psi_in = ws.psi_in[us].view();
     View2D<const cplx> trans = slice_transmittance(ws, s);

@@ -2,7 +2,12 @@
 //
 // Forward (Maiden/Humphry/Rodenburg 2012, ref [14] of the paper):
 //   psi_0 = probe;   for each slice s:  psi <- Prop( psi .* t_s )
-//   far field Psi = FFT(psi_S);  simulated magnitudes |Psi|.
+//   far field Psi = (1/n) FFT(psi_S);  simulated magnitudes |Psi|.
+// The last slice's Prop ends with an inverse FFT that the far-field FFT
+// undoes, so the operator elides that roundtrip and forms
+// Psi = (1/n) H .* FFT(t_last .* psi) directly (H the propagator kernel);
+// the adjoint mirrors it. This is the one operation sequence on every
+// precision tier, so 4S - 2 FFTs run per cost-and-gradient evaluation.
 // The per-probe cost is f_i(V) = sum_k ( |y_i[k]| - |Psi[k]| )^2 and the
 // gradient dF/dV is obtained by reverse-mode differentiation through the
 // slice chain. The gradient has support only inside the probe window —

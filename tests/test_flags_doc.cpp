@@ -1,11 +1,13 @@
-// Documentation-drift gate: the README "Execution flags" table and the
+// Documentation-drift gates: the README "Execution flags" table and the
 // shared parser's help text (exec_options_help) must list exactly the same
-// flags. A flag added to one but not the other fails here, so the two can
-// never drift apart again. The README is read in place via the
-// PTYCHO_SOURCE_DIR compile definition.
+// flags, and the PTYCHO_* environment variables the README names must be
+// exactly those the library reads with std::getenv. Adding one side but not
+// the other fails here, so the two can never drift apart again. The README
+// and src/ are read in place via the PTYCHO_SOURCE_DIR compile definition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <regex>
 #include <set>
@@ -57,6 +59,35 @@ std::set<std::string> readme_flags() {
   return flags;
 }
 
+/// Every PTYCHO_* name the README mentions.
+std::set<std::string> readme_env_vars() {
+  const std::string readme = read_file(std::string(PTYCHO_SOURCE_DIR) + "/README.md");
+  std::set<std::string> names;
+  const std::regex name_re(R"(\bPTYCHO_[A-Z0-9_]+)");
+  for (auto it = std::sregex_iterator(readme.begin(), readme.end(), name_re);
+       it != std::sregex_iterator(); ++it) {
+    names.insert(it->str());
+  }
+  return names;
+}
+
+/// Every std::getenv("PTYCHO_...") literal in the library sources.
+std::set<std::string> source_env_vars() {
+  std::set<std::string> names;
+  const std::regex getenv_re(R"(std::getenv\(\s*"(PTYCHO_[A-Z0-9_]+)\")");
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(std::string(PTYCHO_SOURCE_DIR) + "/src")) {
+    const std::string ext = entry.path().extension().string();
+    if (!entry.is_regular_file() || (ext != ".cpp" && ext != ".hpp")) continue;
+    const std::string text = read_file(entry.path().string());
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), getenv_re);
+         it != std::sregex_iterator(); ++it) {
+      names.insert((*it)[1].str());
+    }
+  }
+  return names;
+}
+
 std::string join(const std::set<std::string>& s) {
   std::string out;
   for (const auto& f : s) out += (out.empty() ? "" : ", ") + f;
@@ -89,6 +120,14 @@ TEST(FlagsDoc, KnownFlagsPresent) {
   for (const char* flag : {"--precision", "--chaos", "--heartbeat-ms", "--scheduler"}) {
     EXPECT_TRUE(help.count(flag)) << flag;
   }
+}
+
+TEST(FlagsDoc, ReadmeEnvVarsMatchSourceGetenv) {
+  const std::set<std::string> readme = readme_env_vars();
+  const std::set<std::string> source = source_env_vars();
+  // Non-empty on both sides, so a broken scan cannot pass vacuously.
+  EXPECT_TRUE(source.count("PTYCHO_BACKEND")) << "source scan found: " << join(source);
+  EXPECT_EQ(readme, source) << "README: " << join(readme) << "\nsrc getenv: " << join(source);
 }
 
 }  // namespace

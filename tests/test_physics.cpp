@@ -1,7 +1,7 @@
 // Tests for src/physics: optics constants, probe formation, propagator,
 // the multislice operator and — critically — its adjoint (dot tests and
 // finite-difference gradient checks, both object models, on the strict
-// operator and on the fast tier's spectral-roundtrip-elided one).
+// and on the fast tier), and the last-slice roundtrip elision they share.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +9,7 @@
 #include "backend/kernels.hpp"
 #include "common/random.hpp"
 #include "data/synthetic.hpp"
+#include "obs/metrics.hpp"
 #include "physics/multislice.hpp"
 #include "physics/scan.hpp"
 #include "tensor/ops.hpp"
@@ -59,11 +60,11 @@ CArray2D random_field(index_t n, std::uint64_t seed) {
 }
 
 /// Switches the process to the fast tier for one test: the multislice
-/// operator then elides the far-field F.F^-1 roundtrip at the last slice
-/// (forward and adjoint), which is the path these checks must also cover.
-struct ElidedOperatorScope {
-  ElidedOperatorScope() { backend::set_precision(backend::Precision::kFast); }
-  ~ElidedOperatorScope() { backend::set_precision(backend::Precision::kStrict); }
+/// operator runs the same operation sequence through the FMA kernel
+/// tables, which these checks must also cover.
+struct FastTierScope {
+  FastTierScope() { backend::set_precision(backend::Precision::kFast); }
+  ~FastTierScope() { backend::set_precision(backend::Precision::kStrict); }
 };
 
 TEST(Optics, ElectronWavelength) {
@@ -227,7 +228,7 @@ TEST(Multislice, CostZeroWhenMeasurementsMatch) {
 /// fixed object: A(p) = (1/n) F P T_L ... P T_1 p. Its adjoint comes from
 /// cost_and_gradient's probe gradient: with all-zero measured magnitudes
 /// the far-field seed is exactly 2 A(p0), so the probe gradient is
-/// A^H (2 A p0). This covers the last-slice step where the fast tier
+/// A^H (2 A p0). This covers the last-slice step, where the operator
 /// elides the spectral roundtrip, which the propagator-only test cannot.
 void check_chain_adjoint(double rel_bound) {
   const OpticsGrid grid = test_grid(16);
@@ -258,7 +259,7 @@ void check_chain_adjoint(double rel_bound) {
 TEST(Multislice, AdjointDotTest) { check_chain_adjoint(1e-5); }
 
 TEST(Multislice, AdjointDotTestElided) {
-  ElidedOperatorScope elided;
+  FastTierScope fast;
   check_chain_adjoint(1e-5);
 }
 
@@ -325,13 +326,57 @@ class MultisliceGradient : public ::testing::TestWithParam<ObjectModel> {};
 TEST_P(MultisliceGradient, MatchesFiniteDifference) { check_gradient_matches_fd(GetParam(), 0.15); }
 
 TEST_P(MultisliceGradient, MatchesFiniteDifferenceElided) {
-  ElidedOperatorScope elided;
+  FastTierScope fast;
   check_gradient_matches_fd(GetParam(), 0.15);
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, MultisliceGradient,
                          ::testing::Values(ObjectModel::kTransmittance,
                                            ObjectModel::kPotential));
+
+/// 2-D transforms one cost_and_gradient evaluation runs, read from the
+/// fft2d_transforms_total counter.
+std::uint64_t transforms_per_evaluation(index_t slices) {
+  const OpticsGrid grid = test_grid(16);
+  Probe probe(grid, test_probe_params());
+  MultisliceOperator op(grid);
+  const auto n = static_cast<index_t>(grid.probe_n);
+  const Rect window{0, 0, n, n};
+  const FramedVolume object = random_volume(window, slices, 41);
+  MultisliceWorkspace ws(n, slices);
+  const RArray2D zeros(n, n);
+  FramedVolume grad(slices, window);
+  obs::Counter& transforms = obs::registry().counter("fft2d_transforms_total");
+  obs::set_metrics_enabled(true);
+  const std::uint64_t before = transforms.value();
+  (void)op.cost_and_gradient(probe, object, window, zeros.view(), grad, ws);
+  const std::uint64_t after = transforms.value();
+  obs::set_metrics_enabled(false);
+  return after - before;
+}
+
+// The last-slice roundtrip is elided on every tier: S - 1 propagator
+// pairs plus the far-field forward, mirrored by the adjoint, is 4S - 2
+// transforms (the composed sequence ran 4S + 2).
+TEST(Multislice, ElidesLastSliceRoundtripOnEveryTier) {
+  for (const index_t slices : {index_t{1}, index_t{3}, index_t{8}}) {
+    const auto expected = static_cast<std::uint64_t>(4 * slices - 2);
+    EXPECT_EQ(transforms_per_evaluation(slices), expected) << "strict, slices=" << slices;
+    FastTierScope fast;
+    EXPECT_EQ(transforms_per_evaluation(slices), expected) << "fast, slices=" << slices;
+  }
+}
+
+TEST(Multislice, RejectsZeroSlices) {
+  const OpticsGrid grid = test_grid(16);
+  Probe probe(grid, test_probe_params());
+  MultisliceOperator op(grid);
+  const auto n = static_cast<index_t>(grid.probe_n);
+  const Rect window{0, 0, n, n};
+  const FramedVolume empty(0, window);
+  MultisliceWorkspace ws(n, 0);
+  EXPECT_THROW(op.forward(probe, empty, window, ws), Error);
+}
 
 TEST(Multislice, GradientSupportConfinedToWindow) {
   // The "special property" of Sec. III: the per-probe gradient vanishes

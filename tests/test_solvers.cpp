@@ -137,6 +137,21 @@ TEST(GdSolver, SgdModeConverges) {
   EXPECT_LT(result.cost.reduction(), 0.7);
 }
 
+TEST(GdSolver, ApproachesGroundTruthFromVacuum) {
+  // Correctness on what users see: the reconstruction's error against the
+  // simulated ground truth, not a falling cost alone. A 4-rank SGD run
+  // from the vacuum guess (error 0.1057) measures 0.0969 after 10
+  // iterations; 6 iterations measure 0.0991, so a run that stalls or
+  // loses gradient signal fails the bound.
+  const Dataset& dataset = tiny_dataset();
+  GdConfig config;
+  config.nranks = 4;
+  config.iterations = 10;
+  config.step = real(0.1);
+  ParallelResult result = reconstruct_gd(dataset, config);
+  EXPECT_LT(relative_rms_error(result.volume, dataset.ground_truth), 0.0985);
+}
+
 TEST(GdSolver, ConvergesOnNoisyData) {
   GdConfig config;
   config.nranks = 4;
