@@ -54,9 +54,11 @@ struct Kernels {
   /// dst[i] = conj(src[i]) * s; dst may alias src (Bluestein inverse trick).
   void (*conj_scale_lanes)(cplx* dst, const cplx* src, real s, usize n);
 
-  /// Radix-2 butterfly block with one twiddle shared across lanes (the
-  /// strided batched FFT): t = cmul(w, b[i]); b[i] = a[i] - t; a[i] += t.
-  /// a and b must not overlap.
+  /// Radix-2 butterfly with one twiddle shared across lanes:
+  /// t = cmul(w, b[i]); b[i] = a[i] - t; a[i] += t. a and b must not
+  /// overlap. The FFT runs the radix-4 forms below; the benches time this
+  /// one as the backend's butterfly probe (perfbench
+  /// backend.butterfly_mb_per_s).
   void (*butterfly_lanes)(cplx* a, cplx* b, cplx w, usize n);
 
   /// Radix-4 butterfly block with per-lane twiddles: the fusion of two

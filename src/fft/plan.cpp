@@ -20,27 +20,11 @@ usize next_pow2(usize n) {
   return p;
 }
 
-struct Plan1D::Pow2Tables {
-  Pow2Tables() = default;
-  explicit Pow2Tables(usize n)
-      : bitrev(detail::make_bitrev(n)), radix4(detail::make_radix4_tables(n)) {}
-
-  std::vector<usize> bitrev;
-  detail::Radix4Tables radix4;
-
-  void run(cplx* data, usize n, int sign) const {
-    detail::radix4_transform(data, n, sign, bitrev, radix4);
-  }
-  void run_strided(cplx* data, usize n, usize stride, usize count, int sign) const {
-    detail::radix4_transform_strided(data, n, stride, count, sign, bitrev, radix4);
-  }
-};
-
 struct Plan1D::BluesteinTables {
   usize m = 0;                      // padded pow2 size >= 2n-1
   std::vector<cplx> chirp;          // a_k = exp(-iπ k² / n), k in [0, n)
   std::vector<cplx> filter_fft;     // forward FFT of b (conjugate chirp, wrapped)
-  Pow2Tables inner;                 // radix-4 tables for size m
+  detail::Radix4Tables inner;       // radix-4 tables for size m
 };
 
 namespace {
@@ -59,13 +43,13 @@ cplx chirp_value(usize k, usize n, int sign) {
 Plan1D::Plan1D(usize n) : n_(n) {
   PTYCHO_REQUIRE(n >= 1, "FFT size must be >= 1");
   if (is_pow2(n)) {
-    pow2_ = std::make_unique<Pow2Tables>(n);
+    pow2_ = std::make_unique<detail::Radix4Tables>(detail::make_radix4_tables(n));
     return;
   }
   bluestein_ = std::make_unique<BluesteinTables>();
   auto& bt = *bluestein_;
   bt.m = next_pow2(2 * n - 1);
-  bt.inner = Pow2Tables(bt.m);
+  bt.inner = detail::make_radix4_tables(bt.m);
   bt.chirp.resize(n);
   for (usize k = 0; k < n; ++k) bt.chirp[k] = chirp_value(k, n, -1);
   // Filter b[j] = conj(chirp)[|j|] wrapped onto [0, m).
@@ -75,7 +59,7 @@ Plan1D::Plan1D(usize n) : n_(n) {
     filter[k] = b;
     if (k != 0) filter[bt.m - k] = b;
   }
-  bt.inner.run(filter.data(), bt.m, -1);
+  detail::radix4_transform(filter.data(), bt.m, -1, bt.inner);
   bt.filter_fft = std::move(filter);
 }
 
@@ -89,16 +73,16 @@ thread_local std::vector<cplx> t_scratch;
 
 void Plan1D::forward(cplx* data) const {
   if (pow2_) {
-    pow2_->run(data, n_, -1);
+    detail::radix4_transform(data, n_, -1, *pow2_);
     return;
   }
   const auto& bt = *bluestein_;
   const backend::Kernels& kern = backend::kernels();
   t_scratch.assign(bt.m, cplx{});
   kern.chirp_mul_lanes(t_scratch.data(), data, bt.chirp.data(), real(1), n_);
-  bt.inner.run(t_scratch.data(), bt.m, -1);
+  detail::radix4_transform(t_scratch.data(), bt.m, -1, bt.inner);
   kern.cmul_lanes(t_scratch.data(), t_scratch.data(), bt.filter_fft.data(), bt.m);
-  bt.inner.run(t_scratch.data(), bt.m, +1);
+  detail::radix4_transform(t_scratch.data(), bt.m, +1, bt.inner);
   const real inv_m = real(1) / static_cast<real>(bt.m);
   kern.chirp_mul_lanes(data, t_scratch.data(), bt.chirp.data(), inv_m, n_);
 }
@@ -110,7 +94,7 @@ void Plan1D::inverse(cplx* data) const {
     // The pow2 kernels take the sign directly: one conjugated-twiddle sweep
     // plus one scale pass, instead of the two extra conjugation passes of
     // the generic trick below.
-    pow2_->run(data, n_, +1);
+    detail::radix4_transform(data, n_, +1, *pow2_);
     kern.scale_lanes(data, data, cplx(inv_n, 0), n_);
     return;
   }
@@ -128,7 +112,7 @@ usize Plan1D::strided_scratch_size(usize count) const {
 void Plan1D::forward_strided(cplx* data, usize stride, usize count, cplx* scratch) const {
   PTYCHO_REQUIRE(count >= 1 && stride >= count, "strided batch: need stride >= count >= 1");
   if (pow2_) {
-    pow2_->run_strided(data, n_, stride, count, -1);
+    detail::radix4_transform_strided(data, n_, stride, count, -1, *pow2_);
     return;
   }
   // Bluestein on the whole batch at once: the padded convolution runs
@@ -140,12 +124,12 @@ void Plan1D::forward_strided(cplx* data, usize stride, usize count, cplx* scratc
   for (usize k = 0; k < n_; ++k) {
     kern.scale_lanes(scratch + k * count, data + k * stride, bt.chirp[k], count);
   }
-  bt.inner.run_strided(scratch, bt.m, count, count, -1);
+  detail::radix4_transform_strided(scratch, bt.m, count, count, -1, bt.inner);
   for (usize k = 0; k < bt.m; ++k) {
     cplx* row = scratch + k * count;
     kern.scale_lanes(row, row, bt.filter_fft[k], count);
   }
-  bt.inner.run_strided(scratch, bt.m, count, count, +1);
+  detail::radix4_transform_strided(scratch, bt.m, count, count, +1, bt.inner);
   const real inv_m = real(1) / static_cast<real>(bt.m);
   for (usize k = 0; k < n_; ++k) {
     kern.scale_chirp_lanes(data + k * stride, scratch + k * count, inv_m, bt.chirp[k], count);
@@ -160,7 +144,7 @@ void Plan1D::inverse_strided(cplx* data, usize stride, usize count, cplx* scratc
     // Direct conjugated-twiddle sweep + normalization, as in the contiguous
     // inverse. A dense batch (stride == count, the 2-D tile layout) scales
     // in one dispatched call over the whole tile.
-    pow2_->run_strided(data, n_, stride, count, +1);
+    detail::radix4_transform_strided(data, n_, stride, count, +1, *pow2_);
     if (stride == count) {
       kern.scale_lanes(data, data, cplx(inv_n, 0), n_ * count);
     } else {

@@ -21,6 +21,10 @@
 
 namespace ptycho::fft {
 
+namespace detail {
+struct Radix4Tables;
+}
+
 [[nodiscard]] constexpr bool is_pow2(usize n) { return n != 0 && (n & (n - 1)) == 0; }
 
 /// Smallest power of two >= n.
@@ -58,18 +62,14 @@ class Plan1D {
   void inverse_strided(cplx* data, usize stride, usize count, cplx* scratch) const;
 
  private:
-  struct Pow2Tables;
   struct BluesteinTables;
 
   usize n_ = 0;
-  std::unique_ptr<Pow2Tables> pow2_;            // set when n is a power of two
+  std::unique_ptr<detail::Radix4Tables> pow2_;  // set when n is a power of two
   std::unique_ptr<BluesteinTables> bluestein_;  // set otherwise
 };
 
 namespace detail {
-/// Build bit-reversal permutation for size n (pow2).
-[[nodiscard]] std::vector<usize> make_bitrev(usize n);
-
 /// Radix-4 stage schedule for a pow2 size: consecutive radix-2 stages
 /// (decimation in time over bit-reversal-ordered data) fused in pairs.
 /// For odd log2(n) a single radix-2 stage at half-length 1
@@ -84,25 +84,25 @@ struct Radix4Tables {
     usize h;
     usize offset;
   };
+  std::vector<usize> bitrev;     // bit-reversal permutation, applied first
   bool leading_radix2 = false;  // log2(n) odd: one plain radix-2 stage first
   std::vector<Stage> stages;
   std::vector<cplx> tw;
 };
 
-/// Build the radix-4 schedule + twiddles for pow2 size n (n >= 1).
+/// Build the permutation, radix-4 schedule and twiddles for pow2 size n.
 [[nodiscard]] Radix4Tables make_radix4_tables(usize n);
 
 /// In-place DIT FFT on pow2-sized data through fused radix-4 stage pairs:
 /// bit-reversal first, `sign` = -1 forward / +1 inverse, unnormalized.
-void radix4_transform(cplx* data, usize n, int sign, const std::vector<usize>& bitrev,
-                      const Radix4Tables& r4);
+void radix4_transform(cplx* data, usize n, int sign, const Radix4Tables& r4);
 
 /// Batched variant of radix4_transform: `count` interleaved signals with
 /// element j of signal b at data[j*stride + b]. Butterflies loop over the
 /// contiguous lane dimension (unit stride), so the hot inner loop
 /// vectorizes across the batch.
 void radix4_transform_strided(cplx* data, usize n, usize stride, usize count, int sign,
-                              const std::vector<usize>& bitrev, const Radix4Tables& r4);
+                              const Radix4Tables& r4);
 }  // namespace detail
 
 }  // namespace ptycho::fft

@@ -18,13 +18,9 @@ cplx unit_root(double numerator, double denominator) {
   const double angle = -2.0 * 3.14159265358979323846 * numerator / denominator;
   return cplx(static_cast<real>(std::cos(angle)), static_cast<real>(std::sin(angle)));
 }
-}  // namespace
 
-std::vector<usize> make_bitrev(usize n) {
-  PTYCHO_CHECK(is_pow2(n), "bitrev requires a power-of-two size");
+std::vector<usize> make_bitrev(usize n, usize bits) {
   std::vector<usize> rev(n, 0);
-  usize bits = 0;
-  while ((usize(1) << bits) < n) ++bits;
   for (usize i = 0; i < n; ++i) {
     usize r = 0;
     for (usize b = 0; b < bits; ++b) {
@@ -34,12 +30,14 @@ std::vector<usize> make_bitrev(usize n) {
   }
   return rev;
 }
+}  // namespace
 
 Radix4Tables make_radix4_tables(usize n) {
   PTYCHO_CHECK(is_pow2(n), "radix-4 tables require a power-of-two size");
   Radix4Tables r4;
   usize bits = 0;
   while ((usize(1) << bits) < n) ++bits;
+  r4.bitrev = make_bitrev(n, bits);
   r4.leading_radix2 = (bits % 2) != 0;
   usize h = r4.leading_radix2 ? 2 : 1;
   for (; 4 * h <= n; h *= 4) {
@@ -59,10 +57,9 @@ Radix4Tables make_radix4_tables(usize n) {
   return r4;
 }
 
-void radix4_transform(cplx* data, usize n, int sign, const std::vector<usize>& bitrev,
-                      const Radix4Tables& r4) {
+void radix4_transform(cplx* data, usize n, int sign, const Radix4Tables& r4) {
   for (usize i = 0; i < n; ++i) {
-    const usize j = bitrev[i];
+    const usize j = r4.bitrev[i];
     if (i < j) std::swap(data[i], data[j]);
   }
   const bool conj_tw = sign > 0;
@@ -118,10 +115,10 @@ void radix4_transform(cplx* data, usize n, int sign, const std::vector<usize>& b
 }
 
 void radix4_transform_strided(cplx* data, usize n, usize stride, usize count, int sign,
-                              const std::vector<usize>& bitrev, const Radix4Tables& r4) {
+                              const Radix4Tables& r4) {
   // Bit-reversal permutation: swap whole lane rows once per pair.
   for (usize i = 0; i < n; ++i) {
-    const usize j = bitrev[i];
+    const usize j = r4.bitrev[i];
     if (i < j) {
       cplx* a = data + i * stride;
       cplx* b = data + j * stride;

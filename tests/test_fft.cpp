@@ -422,7 +422,7 @@ INSTANTIATE_TEST_SUITE_P(Pow2Sizes4To1024, Radix4MatchesReference,
                          ::testing::Values(4, 8, 16, 32, 64, 128, 256, 512, 1024));
 
 // The fused entry points must be bitwise-equal to their composed two-step
-// sequences under the same radix configuration: the fold moves the same
+// sequences on the same plan: the fold moves the same
 // dispatched per-element ops onto a cache-resident block, it must not
 // change one bit. Shapes cover pow2, Bluestein and mixed extents, whole
 // Fft2D::kLanes blocks (64x64) and a partial last lane block (100x72).
