@@ -84,7 +84,7 @@ struct Radix4Tables {
     usize h;
     usize offset;
   };
-  std::vector<usize> bitrev;     // bit-reversal permutation, applied first
+  std::vector<usize> bitrev;    // bit-reversal permutation, applied first
   bool leading_radix2 = false;  // log2(n) odd: one plain radix-2 stage first
   std::vector<Stage> stages;
   std::vector<cplx> tw;

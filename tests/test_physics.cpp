@@ -357,7 +357,7 @@ std::uint64_t transforms_per_evaluation(index_t slices) {
 
 // The last-slice roundtrip is elided on every tier: S - 1 propagator
 // pairs plus the far-field forward, mirrored by the adjoint, is 4S - 2
-// transforms (the composed sequence ran 4S + 2).
+// transforms; a tier that replayed the roundtrip would run 4S + 2.
 TEST(Multislice, ElidesLastSliceRoundtripOnEveryTier) {
   for (const index_t slices : {index_t{1}, index_t{3}, index_t{8}}) {
     const auto expected = static_cast<std::uint64_t>(4 * slices - 2);
