@@ -11,9 +11,9 @@
 //
 // A/B columns: per-backend numbers (scalar vs SIMD kernel tables) and the
 // strict-vs-fast precision tier (FMA tables + f16-compact measurement
-// storage, self-gated by the cost-trajectory comparator). A `provenance` object (host, cores, compiler) records
-// where the JSON was produced — numbers are only comparable within one
-// host.
+// storage, self-gated by the cost-trajectory comparator). A `provenance`
+// object (host, cores, compiler) records where the JSON was produced —
+// numbers are only comparable within one host.
 //
 //   bench_sweep [--spec tiny|small] [--threads N] [--repeat R]
 //               [--fft-iters N] [--backend scalar|simd|auto]
