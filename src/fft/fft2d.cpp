@@ -91,12 +91,11 @@ void Fft2D::transform_rows(View2D<cplx> field, bool fwd, const cplx* post_scale)
   }
 }
 
-void Fft2D::transform_cols(View2D<cplx> field, bool fwd, const MultiplySpec* mul,
-                           const cplx* post_scale) const {
+void Fft2D::transform_cols(View2D<cplx> field, bool fwd, const MultiplySpec* mul) const {
   // Columns already are lanes: element y of column x sits at
   // y * row_stride + x, so each block of up to kLanes columns transforms
   // in place in the caller's field with no gather or scatter. The fused
-  // multiply and scale run on the same block right before/after it.
+  // multiply runs on the same block right before/after it.
   const backend::Kernels& kern = backend::kernels();
   const ScratchLease lease = acquire_scratch();
   cplx* pad = lease.get().col_bluestein.empty() ? nullptr : lease.get().col_bluestein.data();
@@ -119,12 +118,6 @@ void Fft2D::transform_cols(View2D<cplx> field, bool fwd, const MultiplySpec* mul
       kern.cmul_rows_tiled(block, stride, block, stride, mul->data + x0, mul->stride, mul->conj,
                            rows, b);
     }
-    if (post_scale != nullptr) {
-      for (usize y = 0; y < rows; ++y) {
-        cplx* row = block + y * stride;
-        kern.scale_lanes(row, row, *post_scale, b);
-      }
-    }
   }
 }
 
@@ -140,13 +133,13 @@ void Fft2D::forward(View2D<cplx> field) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
   transform_rows(field, true, nullptr);
-  transform_cols(field, true, nullptr, nullptr);
+  transform_cols(field, true, nullptr);
 }
 
 void Fft2D::inverse(View2D<cplx> field) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
-  transform_cols(field, false, nullptr, nullptr);
+  transform_cols(field, false, nullptr);
   transform_rows(field, false, nullptr);
 }
 
@@ -158,7 +151,7 @@ void Fft2D::forward_multiply(View2D<cplx> field, View2D<const cplx> kernel,
   transform_rows(field, true, nullptr);
   const MultiplySpec mul{kernel.data(), static_cast<usize>(kernel.row_stride()), conj_kernel,
                          /*pre=*/false};
-  transform_cols(field, true, &mul, nullptr);
+  transform_cols(field, true, &mul);
 }
 
 void Fft2D::multiply_inverse(View2D<const cplx> kernel, View2D<cplx> field,
@@ -168,21 +161,14 @@ void Fft2D::multiply_inverse(View2D<const cplx> kernel, View2D<cplx> field,
   note_transform(rows_, cols_);
   const MultiplySpec mul{kernel.data(), static_cast<usize>(kernel.row_stride()), conj_kernel,
                          /*pre=*/true};
-  transform_cols(field, false, &mul, nullptr);
+  transform_cols(field, false, &mul);
   transform_rows(field, false, nullptr);
-}
-
-void Fft2D::forward_scale(View2D<cplx> field, cplx alpha) const {
-  check_shape(field, rows_, cols_, "field");
-  note_transform(rows_, cols_);
-  transform_rows(field, true, nullptr);
-  transform_cols(field, true, nullptr, &alpha);
 }
 
 void Fft2D::inverse_scale(View2D<cplx> field, cplx alpha) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
-  transform_cols(field, false, nullptr, nullptr);
+  transform_cols(field, false, nullptr);
   transform_rows(field, false, &alpha);
 }
 

@@ -23,7 +23,8 @@
 //                       column block right after its transform)
 //   multiply_inverse  = field *= kernel then inverse    (multiply each
 //                       column block right before its transform)
-//   forward_scale / inverse_scale = the same fusion for a uniform scale
+//   inverse_scale     = inverse then field *= alpha  (scale each row
+//                       tile right after its transform)
 //
 // Each fused call is bitwise identical to its composed two-step sequence
 // (the folded op runs the same dispatched per-element kernels, just on
@@ -79,9 +80,6 @@ class Fft2D {
   void multiply_inverse(View2D<const cplx> kernel, View2D<cplx> field,
                         bool conj_kernel = false) const;
 
-  /// Fused forward(field); field *= alpha.
-  void forward_scale(View2D<cplx> field, cplx alpha) const;
-
   /// Fused inverse(field); field *= alpha.
   void inverse_scale(View2D<cplx> field, cplx alpha) const;
 
@@ -123,8 +121,7 @@ class Fft2D {
   [[nodiscard]] ScratchLease acquire_scratch() const;
 
   void transform_rows(View2D<cplx> field, bool fwd, const cplx* post_scale) const;
-  void transform_cols(View2D<cplx> field, bool fwd, const MultiplySpec* mul,
-                      const cplx* post_scale) const;
+  void transform_cols(View2D<cplx> field, bool fwd, const MultiplySpec* mul) const;
 
   usize rows_ = 0;
   usize cols_ = 0;
