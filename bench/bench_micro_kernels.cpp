@@ -11,7 +11,6 @@
 #include "data/simulate.hpp"
 #include "fft/fft2d.hpp"
 #include "runtime/cluster.hpp"
-#include "tensor/compact.hpp"
 #include "tensor/ops.hpp"
 
 namespace ptycho {
@@ -303,56 +302,8 @@ void register_backend_benches(const backend::Kernels* kern) {
 const int backend_benches_registered = [] {
   register_backend_benches(&backend::scalar_kernels());
   if (backend::simd_available()) register_backend_benches(backend::simd_kernels());
-  // Fast-tier tables ride the same harness, so BM_Backend*/avx2 vs
-  // BM_Backend*/avx2-fma rows show what the fused-multiply-add column buys
-  // per primitive.
-  register_backend_benches(&backend::scalar_fma_kernels());
-  if (backend::fma_available()) register_backend_benches(backend::fma_kernels());
   return 0;
 }();
-
-// ---- fast-tier benchmarks: FMA cmul head-to-head + compact codecs ----
-
-// The single row the BENCH_sweep `cmul_mb_per_sec_fma` gate column is
-// attributed to: the best available FMA table's cmul (vector when the CPU
-// has one, scalar-fma otherwise).
-void BM_BackendCmulFma(benchmark::State& state) {
-  const backend::Kernels* kern =
-      backend::fma_available() ? backend::fma_kernels() : &backend::scalar_fma_kernels();
-  BM_BackendCmul(state, kern);
-}
-BENCHMARK(BM_BackendCmulFma)->Arg(256)->Arg(4096);
-
-/// Decode throughput of one compact format: halves -> f32, the per-item
-/// cost the fast tier pays to read an encoded measurement frame or a
-/// cached transmittance plane.
-void BM_CompactDecode(benchmark::State& state, compact::Format format) {
-  const auto n = static_cast<usize>(state.range(0));
-  std::vector<real> src(n);
-  for (usize i = 0; i < n; ++i) {
-    src[i] = real(0.25) + static_cast<real>(i % 977) * real(1e-2);
-  }
-  std::vector<std::uint16_t> packed(n);
-  compact::encode(format, packed.data(), src.data(), n);
-  std::vector<real> dst(n);
-  for (auto _ : state) {
-    compact::decode(format, dst.data(), packed.data(), n);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(n * (sizeof(real) + sizeof(std::uint16_t))));
-}
-
-void BM_CompactDecodeBf16(benchmark::State& state) {
-  BM_CompactDecode(state, compact::Format::kBf16);
-}
-BENCHMARK(BM_CompactDecodeBf16)->Arg(1024)->Arg(65536);
-
-void BM_CompactDecodeF16(benchmark::State& state) {
-  BM_CompactDecode(state, compact::Format::kF16);
-}
-BENCHMARK(BM_CompactDecodeF16)->Arg(1024)->Arg(65536);
 
 }  // namespace
 }  // namespace ptycho

@@ -9,11 +9,9 @@
 // bench::best_of_seconds): on shared runners interference only adds time,
 // so the fastest repeat is the comparable number.
 //
-// A/B columns: per-backend numbers (scalar vs SIMD kernel tables) and the
-// strict-vs-fast precision tier (FMA tables + f16-compact measurement
-// storage, self-gated by the cost-trajectory comparator). A `provenance`
-// object (host, cores, compiler) records where the JSON was produced —
-// numbers are only comparable within one host.
+// A/B columns: per-backend numbers (scalar vs SIMD kernel tables). A
+// `provenance` object (host, cores, compiler) records where the JSON was
+// produced — numbers are only comparable within one host.
 //
 //   bench_sweep [--spec tiny|small] [--threads N] [--repeat R]
 //               [--fft-iters N] [--backend scalar|simd|auto]
@@ -32,14 +30,10 @@
 #include "ckpt/snapshot.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
-#include "core/precision.hpp"
 #include "core/serial_solver.hpp"
 #include "core/sweep.hpp"
-#include "data/simulate.hpp"
 #include "data/synthetic.hpp"
 #include "fft/fft2d.hpp"
-#include "physics/multislice.hpp"
-#include "tensor/compact.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -123,88 +117,6 @@ double async_overlap_ratio(const Dataset& dataset, int threads, const std::strin
   return stats.ratio();
 }
 
-/// Fast-tier sweep rate: the same full-batch sweep as sweep_rate but with
-/// the FMA dispatch column active and the measurement stack held f16
-/// compact (decoded per item into workspace scratch) — the
-/// `--precision fast` hot path. Restores the strict tier on exit.
-double sweep_rate_fast(const Dataset& dataset, int threads, int repeat) {
-  backend::set_precision(backend::Precision::kFast);
-  GradientEngine engine(dataset);
-  ThreadPool pool(threads);
-  const std::unique_ptr<SweepScheduler> scheduler =
-      make_sweep_scheduler(SweepSchedule::kStatic, pool);
-  BatchSweeper sweeper(engine, *scheduler, compact::Format::kF16);
-  const compact::FrameStack compact_meas(dataset.measurements, compact::Format::kF16);
-  sweeper.set_compact_measurements(&compact_meas);
-  FramedVolume volume = make_vacuum_volume(dataset.field(), dataset.spec.slices);
-  AccumulationBuffer accbuf(dataset.spec.slices, volume.frame);
-  Probe probe = dataset.probe.clone();
-  const index_t probes = dataset.probe_count();
-  const auto id_of = [](index_t item) { return item; };
-  const auto meas_of = [&](index_t item) {
-    return dataset.measurements[static_cast<usize>(item)].view();
-  };
-  double cost = 0.0;
-  const double seconds = bench::best_of_seconds(/*warmup=*/1, repeat, [&] {
-    sweeper.sweep(0, probes, probe, volume, accbuf, cost, nullptr, id_of, meas_of);
-    accbuf.reset();
-  });
-  backend::set_precision(backend::Precision::kStrict);
-  return static_cast<double>(probes) / seconds;
-}
-
-/// The fast-tier tolerance comparator, run as a self-gating A/B: max
-/// per-iteration relative cost deviation of a `--precision fast` serial
-/// reconstruction against the strict trajectory, both continued from one
-/// strict warm-up iteration (cold starts gate gradient chaos, not
-/// numerics — see tests/test_precision.cpp). Aborts the bench when the
-/// deviation exceeds the documented 1e-3 gate.
-double fast_cost_deviation(const Dataset& dataset) {
-  const auto run = [&](const PrecisionPolicy& policy, int iterations,
-                       const FramedVolume* initial) {
-    SerialConfig config;
-    config.iterations = iterations;
-    config.step = real(0.1);
-    config.mode = UpdateMode::kFullBatch;
-    config.exec.precision = policy;
-    apply_precision(policy);
-    return reconstruct_serial(dataset, config, initial);
-  };
-  const SerialResult head = run(PrecisionPolicy{}, 1, nullptr);
-  const SerialResult strict = run(PrecisionPolicy{}, 4, &head.volume);
-  const SerialResult fast = run(parse_precision("fast"), 4, &head.volume);
-  apply_precision(PrecisionPolicy{});
-  const TrajectoryDeviation dev =
-      compare_cost_trajectories(fast.cost.values(), strict.cost.values());
-  PTYCHO_CHECK(dev.within(1e-3), "--precision fast failed the tolerance gate: deviation "
-                                     << dev.max_relative << " at iteration "
-                                     << dev.worst_iteration << " (gate 1e-3)");
-  return dev.max_relative;
-}
-
-/// Resident MB of the compact (f16) transmittance cache after one cached
-/// potential-model evaluation: the encoded per-slice planes plus the one
-/// shared decode scratch plane. The strict f32 cache for the same
-/// geometry is 2x the plane payload with no scratch.
-double transmittance_cache_mb() {
-  DatasetSpec spec = repro_tiny_spec();
-  spec.model.model = ObjectModel::kPotential;
-  const Dataset potential = make_synthetic_dataset(spec, SpecimenParams{}, AcquisitionParams{});
-  GradientEngine engine(potential);
-  MultisliceWorkspace ws = engine.make_workspace(compact::Format::kF16);
-  ws.cache_transmittance = true;
-  const FramedVolume volume = make_vacuum_volume(potential.field(), potential.spec.slices);
-  (void)engine.probe_cost(0, volume, ws);
-  double bytes = static_cast<double>(ws.trans_scratch.rows()) *
-                 static_cast<double>(ws.trans_scratch.cols()) * sizeof(cplx);
-  for (const auto& plane : ws.trans_c) {
-    bytes += static_cast<double>(plane.size()) * sizeof(std::uint16_t);
-  }
-  PTYCHO_CHECK(!ws.trans_c.empty() && !ws.trans_c.front().empty(),
-               "compact transmittance cache did not engage");
-  return bytes / 1e6;
-}
-
 struct FftResult {
   double us_per_pair = 0.0;
   double mb_per_sec = 0.0;
@@ -245,11 +157,12 @@ FftResult fft_rate(int iters, int repeat) {
 
 struct KernelRates {
   double cmul_mb_per_sec = 0.0;
-  double butterfly_mb_per_sec = 0.0;
+  double butterfly4_mb_per_sec = 0.0;
 };
 
-/// Throughput of the two hottest backend primitives on one table, MB/s of
-/// bytes moved (reads + writes). 4096 lanes fits L1/L2 so this measures
+/// Throughput of two hot backend primitives on one table, MB/s of bytes
+/// moved (reads + writes): the Hadamard product and the radix-4 butterfly
+/// of the FFT's strided stages. 4096 lanes fits L1/L2 so this measures
 /// the kernel, not DRAM.
 KernelRates kernel_rates(const backend::Kernels& kern, int repeat) {
   const usize n = 4096;
@@ -268,28 +181,32 @@ KernelRates kernel_rates(const backend::Kernels& kern, int repeat) {
         3.0 * iters * static_cast<double>(n) * sizeof(cplx) / seconds / 1e6;
   }
   {
-    // The butterfly doubles signal energy per application (amplitude x
-    // sqrt(2)), so run it in blocks of 100 from a pristine copy — the
+    // The radix-4 butterfly doubles the amplitude of each 4-lane group per
+    // application, so run it in blocks of 100 from a pristine copy — the
     // resets stay outside the timed regions and values stay finite.
-    const cplx w(real(0.70710678), real(-0.70710678));
-    const std::vector<cplx> a0 = a;
-    const std::vector<cplx> b0 = b;
+    const cplx w1(real(0.70710678), real(-0.70710678));
+    const cplx w2(real(0), real(-1));
+    const cplx w3(real(-0.70710678), real(-0.70710678));
+    const std::vector<std::vector<cplx>> x0 = {a, b, dst, a};
+    std::vector<std::vector<cplx>> x = x0;
     const int block = 100;
     const int blocks = iters / block;
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < std::max(1, repeat); ++rep) {
       double seconds = 0.0;
       for (int blk = 0; blk < blocks; ++blk) {
-        a = a0;
-        b = b0;
+        x = x0;
         WallTimer timer;
-        for (int i = 0; i < block; ++i) kern.butterfly_lanes(a.data(), b.data(), w, n);
+        for (int i = 0; i < block; ++i) {
+          kern.butterfly4_lanes(x[0].data(), x[1].data(), x[2].data(), x[3].data(), w1, w2, w3,
+                                /*conj_rot=*/false, n);
+        }
         seconds += timer.seconds();
       }
       best = std::min(best, seconds);
     }
-    out.butterfly_mb_per_sec =
-        4.0 * blocks * block * static_cast<double>(n) * sizeof(cplx) / best / 1e6;
+    out.butterfly4_mb_per_sec =
+        8.0 * blocks * block * static_cast<double>(n) * sizeof(cplx) / best / 1e6;
   }
   return out;
 }
@@ -383,28 +300,6 @@ int main(int argc, char** argv) {
   std::printf("pipeline ckpt sync %8.1f probes/s vs async %8.1f probes/s (%.2fx, overlap %.2f)\n",
               rate_sync_ckpt, rate_async, rate_async / rate_sync_ckpt, overlap_ratio);
 
-  // Strict-vs-fast tier A/B: the same 1-thread sweep with the FMA
-  // dispatch column active and f16-compact measurement frames (the
-  // `--precision fast` hot path), self-gated by the warm-started cost
-  // trajectory comparator so a fast number that drifted past the 1e-3
-  // tolerance can never be published. The footprint column records the
-  // compact transmittance cache so it cannot silently grow back to f32.
-  const double rate_1t_fast = sweep_rate_fast(dataset, 1, repeat);
-  std::printf("  1 thread fast: %8.1f probes/s (vs strict %.2fx)\n", rate_1t_fast,
-              rate_1t_fast / rate_1t);
-  const double fast_dev = fast_cost_deviation(dataset);
-  std::printf("  fast cost deviation: %.2e (gate 1e-3)\n", fast_dev);
-  const double trans_cache_mb = transmittance_cache_mb();
-  std::printf("  compact transmittance cache: %.3f MB\n", trans_cache_mb);
-  KernelRates kr_fma;
-  const bool have_fma = backend::fma_available();
-  if (have_fma) {
-    kr_fma = kernel_rates(*backend::fma_kernels(), repeat);
-    std::printf("kernels (%s): cmul %.0f MB/s, butterfly %.0f MB/s\n",
-                backend::fma_kernels()->name, kr_fma.cmul_mb_per_sec,
-                kr_fma.butterfly_mb_per_sec);
-  }
-
   const FftResult fft = fft_rate(fft_iters, repeat);
   std::printf("fft 256x256 fwd+inv (%s): %.1f us/pair, %.1f MB/s\n", active_backend.c_str(),
               fft.us_per_pair, fft.mb_per_sec);
@@ -413,8 +308,8 @@ int main(int argc, char** argv) {
   // plus the full 2-D FFT with the dispatch temporarily forced. Restore
   // the requested backend afterwards so the numbers above stay honest.
   const KernelRates kr_scalar = kernel_rates(backend::scalar_kernels(), repeat);
-  std::printf("kernels (scalar): cmul %.0f MB/s, butterfly %.0f MB/s\n",
-              kr_scalar.cmul_mb_per_sec, kr_scalar.butterfly_mb_per_sec);
+  std::printf("kernels (scalar): cmul %.0f MB/s, butterfly4 %.0f MB/s\n",
+              kr_scalar.cmul_mb_per_sec, kr_scalar.butterfly4_mb_per_sec);
   KernelRates kr_simd;
   FftResult fft_scalar;
   FftResult fft_simd;
@@ -429,11 +324,11 @@ int main(int argc, char** argv) {
   }
   if (have_simd) {
     kr_simd = kernel_rates(*backend::simd_kernels(), repeat);
-    std::printf("kernels (%s)  : cmul %.0f MB/s (%.2fx), butterfly %.0f MB/s (%.2fx)\n",
+    std::printf("kernels (%s)  : cmul %.0f MB/s (%.2fx), butterfly4 %.0f MB/s (%.2fx)\n",
                 backend::simd_kernels()->name, kr_simd.cmul_mb_per_sec,
                 kr_simd.cmul_mb_per_sec / kr_scalar.cmul_mb_per_sec,
-                kr_simd.butterfly_mb_per_sec,
-                kr_simd.butterfly_mb_per_sec / kr_scalar.butterfly_mb_per_sec);
+                kr_simd.butterfly4_mb_per_sec,
+                kr_simd.butterfly4_mb_per_sec / kr_scalar.butterfly4_mb_per_sec);
     if (active_backend == backend::simd_kernels()->name) {
       fft_simd = fft;
     } else {
@@ -470,13 +365,6 @@ int main(int argc, char** argv) {
        << "  \"sweep_probes_per_sec_ws_nt\": " << rate_nt_ws << ",\n"
        << "  \"sweep_ws_vs_static_1t\": " << rate_1t_ws / rate_1t << ",\n"
        << "  \"sweep_ws_vs_static_nt\": " << rate_nt_ws / rate_nt << ",\n"
-       << "  \"sweep_probes_per_sec_1t_fast\": " << rate_1t_fast << ",\n"
-       << "  \"sweep_fast_speedup\": " << rate_1t_fast / rate_1t << ",\n"
-       << "  \"sweep_fast_cost_dev\": " << fast_dev << ",\n"
-       << "  \"transmittance_cache_mb\": " << trans_cache_mb << ",\n"
-       << "  \"cmul_mb_per_sec_fma\": " << (have_fma ? kr_fma.cmul_mb_per_sec : 0.0) << ",\n"
-       << "  \"butterfly_mb_per_sec_fma\": "
-       << (have_fma ? kr_fma.butterfly_mb_per_sec : 0.0) << ",\n"
        << "  \"sweep_probes_per_sec_sync_ckpt\": " << rate_sync_ckpt << ",\n"
        << "  \"sweep_probes_per_sec_async\": " << rate_async << ",\n"
        << "  \"sweep_async_vs_sync_ckpt\": " << rate_async / rate_sync_ckpt << ",\n"
@@ -489,9 +377,9 @@ int main(int argc, char** argv) {
        << "  \"cmul_mb_per_sec_scalar\": " << kr_scalar.cmul_mb_per_sec << ",\n"
        << "  \"cmul_mb_per_sec_simd\": " << (have_simd ? kr_simd.cmul_mb_per_sec : 0.0)
        << ",\n"
-       << "  \"butterfly_mb_per_sec_scalar\": " << kr_scalar.butterfly_mb_per_sec << ",\n"
-       << "  \"butterfly_mb_per_sec_simd\": "
-       << (have_simd ? kr_simd.butterfly_mb_per_sec : 0.0) << "\n"
+       << "  \"butterfly4_mb_per_sec_scalar\": " << kr_scalar.butterfly4_mb_per_sec << ",\n"
+       << "  \"butterfly4_mb_per_sec_simd\": "
+       << (have_simd ? kr_simd.butterfly4_mb_per_sec : 0.0) << "\n"
        << "}\n";
   std::printf("wrote %s\n", out.c_str());
   return 0;

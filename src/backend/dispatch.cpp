@@ -1,8 +1,7 @@
 // Backend selection: one atomic pointer to the active kernel table,
-// resolved from (backend choice, precision tier). The choice comes from
-// PTYCHO_BACKEND / CPU detection / select() (the CLI --backend flag); the
-// tier from set_precision() (the CLI --precision flag, strict by default).
-// Generic code only — this TU is compiled without ISA extension flags.
+// resolved from the backend choice. The choice comes from PTYCHO_BACKEND /
+// CPU detection / select() (the CLI --backend flag). Generic code only —
+// this TU is compiled without ISA extension flags.
 #include "backend/kernels.hpp"
 
 #include <atomic>
@@ -17,23 +16,12 @@ namespace {
 enum class Choice { kAuto, kScalar, kSimd };
 
 std::atomic<const Kernels*> g_active{nullptr};
-std::atomic<Choice> g_choice{Choice::kAuto};
-std::atomic<Precision> g_precision{Precision::kStrict};
 
-/// Map (choice, precision) to a concrete table. Fast tier substitutes the
-/// FMA column where one exists: scalar -> scalar-fma (always compiled),
-/// simd -> vector-fma when the CPU has it, else the strict vector table
-/// (degrading to strict beats degrading to scalar on a bandwidth-bound
-/// sweep). kernels() stays a single atomic load — resolution happens only
-/// here, on select()/set_precision().
-const Kernels* resolve(Choice choice, Precision precision) {
+/// Map a backend choice to a concrete table. kernels() stays a single
+/// atomic load — resolution happens only here, on first use or select().
+const Kernels* resolve(Choice choice) {
   const bool scalar = choice == Choice::kScalar ||
                       (choice == Choice::kAuto && !simd_available());
-  if (precision == Precision::kFast) {
-    if (scalar) return &scalar_fma_kernels();
-    if (fma_available()) return fma_kernels();
-    return simd_kernels();
-  }
   return scalar ? &scalar_kernels() : simd_kernels();
 }
 
@@ -73,22 +61,11 @@ bool simd_available() {
 #endif
 }
 
-bool fma_available() {
-  if (fma_kernels() == nullptr) return false;
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return true;
-#endif
-}
-
 const Kernels& kernels() {
   const Kernels* k = g_active.load(std::memory_order_acquire);
   if (k == nullptr) {
-    const Choice choice = initial_choice();
-    const Kernels* fresh = resolve(choice, g_precision.load(std::memory_order_acquire));
+    const Kernels* fresh = resolve(initial_choice());
     if (g_active.compare_exchange_strong(k, fresh, std::memory_order_acq_rel)) {
-      g_choice.store(choice, std::memory_order_release);
       k = fresh;  // this thread won the (idempotent) initialization race
     }
   }
@@ -107,19 +84,9 @@ bool select(std::string_view name) {
   } else {
     return false;
   }
-  g_choice.store(choice, std::memory_order_release);
-  g_active.store(resolve(choice, g_precision.load(std::memory_order_acquire)),
-                 std::memory_order_release);
+  g_active.store(resolve(choice), std::memory_order_release);
   return true;
 }
-
-void set_precision(Precision p) {
-  g_precision.store(p, std::memory_order_release);
-  g_active.store(resolve(g_choice.load(std::memory_order_acquire), p),
-                 std::memory_order_release);
-}
-
-Precision active_precision() { return g_precision.load(std::memory_order_acquire); }
 
 const char* active_name() { return kernels().name; }
 

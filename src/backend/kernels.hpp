@@ -56,9 +56,8 @@ struct Kernels {
 
   /// Radix-2 butterfly with one twiddle shared across lanes:
   /// t = cmul(w, b[i]); b[i] = a[i] - t; a[i] += t. a and b must not
-  /// overlap. The FFT runs the radix-4 forms below; the benches time this
-  /// one as the backend's butterfly probe (perfbench
-  /// backend.butterfly_mb_per_s).
+  /// overlap. The FFT runs the radix-4 forms below; perfbench times this
+  /// one as the backend's butterfly probe (backend.butterfly_mb_per_s).
   void (*butterfly_lanes)(cplx* a, cplx* b, cplx w, usize n);
 
   /// Radix-4 butterfly block with per-lane twiddles: the fusion of two
@@ -102,15 +101,6 @@ struct Kernels {
                                    const cplx* trans, real sigma, usize n);
 };
 
-/// Numerics tier. kStrict is the bitwise-deterministic contract documented
-/// above (no fusing, -ffp-contract=off TUs). kFast swaps in FMA variants of
-/// the same primitives and nothing else: callers run one operation
-/// sequence on both tiers, and only the table behind it differs. Fused
-/// multiply-adds change the rounding of each element (fewer roundings, not
-/// more error), so fast-tier output is tolerance-gated against strict,
-/// never memcmp'd (tests/test_precision.cpp).
-enum class Precision { kStrict, kFast };
-
 /// The active table (lazily initialized as documented above).
 [[nodiscard]] const Kernels& kernels();
 
@@ -122,41 +112,15 @@ enum class Precision { kStrict, kFast };
 /// does not imply the CPU can run it — see simd_available().
 [[nodiscard]] const Kernels* simd_kernels();
 
-/// The scalar FMA table ("scalar-fma"): every complex multiply spelled
-/// with explicit std::fma in the exact sequence the vector FMA tables use,
-/// so the three fast tables are bitwise identical to EACH OTHER (a new,
-/// fast-tier-internal contract — not to the strict tables). Always
-/// available.
-[[nodiscard]] const Kernels& scalar_fma_kernels();
-
-/// The vector FMA table ("avx2-fma" / "neon-fma"), or nullptr when the
-/// build has none for this architecture. See fma_available().
-[[nodiscard]] const Kernels* fma_kernels();
-
 /// True when a SIMD table is compiled in AND the running CPU supports it.
 [[nodiscard]] bool simd_available();
 
-/// True when a vector FMA table is compiled in AND the CPU supports it
-/// (x86-64: AVX2+FMA; AArch64: architecturally guaranteed).
-[[nodiscard]] bool fma_available();
-
 /// Force a backend: "scalar", "simd" or "auto" (empty string == "auto").
 /// Returns false (and leaves the active table unchanged) for an unknown
-/// name or for "simd" when simd_available() is false. The active precision
-/// tier is preserved across select() calls.
+/// name or for "simd" when simd_available() is false.
 bool select(std::string_view name);
 
-/// Set the numerics tier. kFast resolves the active table to the FMA
-/// column of the current backend choice; when the CPU has no vector FMA,
-/// a "simd" choice keeps the strict vector table (fast degrades to
-/// strict rather than to scalar). Always succeeds.
-void set_precision(Precision p);
-
-/// The active numerics tier.
-[[nodiscard]] Precision active_precision();
-
-/// Name of the active table ("scalar", "avx2", "neon", "scalar-fma",
-/// "avx2-fma", "neon-fma").
+/// Name of the active table ("scalar", "avx2", "neon").
 [[nodiscard]] const char* active_name();
 
 }  // namespace ptycho::backend

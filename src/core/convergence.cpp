@@ -1,9 +1,6 @@
 #include "core/convergence.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <complex>
-#include <limits>
 
 #include "common/error.hpp"
 #include "data/io.hpp"
@@ -41,46 +38,6 @@ void CostHistory::write_csv(const std::string& path, const std::string& series_n
   for (usize i = 0; i < values_.size(); ++i) {
     csv.row({static_cast<double>(i), values_[i]});
   }
-}
-
-TrajectoryDeviation compare_cost_trajectories(const std::vector<double>& a,
-                                              const std::vector<double>& b) {
-  PTYCHO_CHECK(a.size() == b.size(),
-               "cost trajectories differ in length (" << a.size() << " vs " << b.size() << ")");
-  TrajectoryDeviation out;
-  for (usize i = 0; i < a.size(); ++i) {
-    const double denom = std::max(std::abs(a[i]), std::abs(b[i]));
-    const double rel = denom > 0.0 ? std::abs(a[i] - b[i]) / denom : 0.0;
-    if (rel > out.max_relative || out.worst_iteration < 0) {
-      out.max_relative = rel;
-      out.worst_iteration = static_cast<long long>(i);
-    }
-  }
-  return out;
-}
-
-double relative_rms(const FramedVolume& test, const FramedVolume& reference) {
-  PTYCHO_CHECK(test.slices() == reference.slices() && test.frame.h == reference.frame.h &&
-                   test.frame.w == reference.frame.w,
-               "relative_rms needs identically shaped volumes");
-  double diff2 = 0.0;
-  double ref2 = 0.0;
-  for (index_t s = 0; s < reference.slices(); ++s) {
-    View2D<const cplx> t = test.data.slice(s);
-    View2D<const cplx> r = reference.data.slice(s);
-    for (index_t y = 0; y < r.rows(); ++y) {
-      const cplx* tr = t.row(y);
-      const cplx* rr = r.row(y);
-      for (index_t x = 0; x < r.cols(); ++x) {
-        const std::complex<double> d(static_cast<double>(tr[x].real()) - rr[x].real(),
-                                     static_cast<double>(tr[x].imag()) - rr[x].imag());
-        diff2 += std::norm(d);
-        ref2 += std::norm(std::complex<double>(rr[x]));
-      }
-    }
-  }
-  if (ref2 == 0.0) return diff2 == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
-  return std::sqrt(diff2 / ref2);
 }
 
 }  // namespace ptycho

@@ -1,12 +1,8 @@
-// Convergence tracking: per-iteration values of the cost F(V) (Fig. 9),
-// plus the trajectory/volume comparators that gate the fast precision tier
-// against the strict one.
+// Convergence tracking: per-iteration values of the cost F(V) (Fig. 9).
 #pragma once
 
 #include <string>
 #include <vector>
-
-#include "tensor/framed.hpp"
 
 namespace ptycho {
 
@@ -40,29 +36,5 @@ class CostHistory {
  private:
   std::vector<double> values_;
 };
-
-/// Result of comparing two equal-length cost trajectories point by point.
-/// This is the fast-tier acceptance comparator: a --precision fast run is
-/// admissible when its per-iteration costs never stray more than a small
-/// relative epsilon from the strict run's (tolerance gating, in contrast
-/// to the strict tier's bitwise guarantees).
-struct TrajectoryDeviation {
-  double max_relative = 0.0;      ///< worst |a-b| / max(|a|,|b|) over the curve
-  long long worst_iteration = -1; ///< where it happened (-1: empty curves)
-
-  [[nodiscard]] bool within(double epsilon) const { return max_relative <= epsilon; }
-};
-
-/// Per-iteration relative deviation between two cost trajectories of the
-/// same length (both produced by the same schedule, so index i means the
-/// same iteration in both). Identical curves — including both-zero points —
-/// report 0.
-[[nodiscard]] TrajectoryDeviation compare_cost_trajectories(const std::vector<double>& a,
-                                                            const std::vector<double>& b);
-
-/// Relative RMS distance sqrt(sum |test-ref|^2 / sum |ref|^2) between two
-/// volumes of identical shape — the final-volume half of the fast-tier
-/// gate. A zero reference with a non-zero test reports +inf.
-[[nodiscard]] double relative_rms(const FramedVolume& test, const FramedVolume& reference);
 
 }  // namespace ptycho

@@ -67,7 +67,11 @@ ExecOptions parse_exec_options(const Options& options, const ExecOptions& defaul
   exec.restart_backoff_ms =
       static_cast<int>(options.get_int("restart-backoff-ms", exec.restart_backoff_ms));
   if (options.has("precision")) {
-    exec.precision = parse_precision(options.get_string("precision", ""));
+    const std::string precision = options.get_string("precision", "");
+    PTYCHO_REQUIRE(!precision.starts_with("fast"),
+                   "--precision " << precision
+                                  << ": the fast tier was removed; strict is the only tier");
+    PTYCHO_REQUIRE(precision == "strict", "--precision must be strict, got '" << precision << "'");
   }
   PTYCHO_REQUIRE(exec.max_restarts >= 0, "--max-restarts must be >= 0");
   PTYCHO_REQUIRE(exec.restart_backoff_ms >= 0, "--restart-backoff-ms must be >= 0");
@@ -107,7 +111,7 @@ std::string exec_options_help() {
       "  --chaos SPEC             fault injection, e.g. delay=0.5:2,reorder=0.3,seed=9\n"
       "  --max-restarts N         auto-recover from rank failures up to N times (0 = off)\n"
       "  --restart-backoff-ms N   base recovery backoff, doubled per restart (default 100)\n"
-      "  --precision P            numerics tier: strict (bitwise, default) | fast[:bf16|:f16]\n";
+      "  --precision strict       numerics tier: strict only (accepted for existing command lines)\n";
 }
 
 }  // namespace ptycho

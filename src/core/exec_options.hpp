@@ -23,7 +23,6 @@
 #include "common/options.hpp"
 #include "common/parallel.hpp"
 #include "core/pipeline.hpp"
-#include "core/precision.hpp"
 #include "runtime/transport.hpp"
 
 namespace ptycho {
@@ -68,12 +67,6 @@ struct ExecOptions {
   int max_restarts = 0;
   /// Base backoff before a recovery attempt; doubles per restart.
   int restart_backoff_ms = 100;
-  /// Numerics tier (--precision). The one exception to the "every knob is
-  /// bitwise-neutral" rule above: the default (strict) keeps bitwise
-  /// identity with all prior releases, but the fast tier swaps in FMA
-  /// kernels and compact storage and is tolerance-gated instead (see
-  /// core/precision.hpp). Checkpoints stay f32 and restore across tiers.
-  PrecisionPolicy precision;
 };
 
 /// Interpret the shared execution flags out of parsed options, over
@@ -86,7 +79,10 @@ struct ExecOptions {
 ///   --generation N         --connect-timeout-ms N   --drain-timeout-ms N
 ///   --heartbeat-ms N       --liveness-timeout-ms N  --recv-deadline-ms N
 ///   --chaos SPEC           --max-restarts N         --restart-backoff-ms N
-///   --precision P
+///   --precision strict
+/// `--precision` configures nothing: the engine has one numerical
+/// contract (strict, bitwise), and the flag is accepted only so existing
+/// command lines keep working. Any other value throws.
 /// Unknown keys are left for the caller's own flag handling; malformed
 /// values throw ptycho::Error.
 [[nodiscard]] ExecOptions parse_exec_options(const Options& options,

@@ -179,8 +179,7 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
     auto ckpt_pass =
         std::make_unique<CheckpointPass>(config.exec.checkpoint, run_info, /*deferred=*/async);
     pipeline.emplace<SweepPass>(engine, config.mode, threads, config.exec.schedule,
-                                SweepPass::Items{&tile.own_probes, &local_meas}, refine,
-                                config.exec.precision);
+                                SweepPass::Items{&tile.own_probes, &local_meas}, refine);
     pipeline.emplace<SyncGradientsPass>(partition, ctx.rank(), config.sync, config.mode);
     pipeline.emplace<ApplyUpdatePass>(config.mode, /*apply_in_sgd=*/true);
     // The finalize pass precedes the fault point so a snapshot whose shards

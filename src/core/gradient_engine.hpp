@@ -30,10 +30,9 @@ class GradientEngine {
     return static_cast<real>(1.0 / dataset_.probe.max_intensity());
   }
 
-  [[nodiscard]] MultisliceWorkspace make_workspace(
-      compact::Format compact_trans = compact::Format::kNone) const {
+  [[nodiscard]] MultisliceWorkspace make_workspace() const {
     return MultisliceWorkspace(static_cast<index_t>(dataset_.spec.grid.probe_n),
-                               dataset_.spec.slices, compact_trans);
+                               dataset_.spec.slices);
   }
 
   /// f_i plus gradient accumulation into `grad` over the window. Uses the

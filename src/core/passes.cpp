@@ -132,36 +132,19 @@ void PassEngine::run_allreduce(rt::RankContext& ctx, FramedVolume& buf) {
 // ---- pipeline passes --------------------------------------------------------
 
 SweepPass::SweepPass(const GradientEngine& engine, UpdateMode mode, int threads,
-                     SweepSchedule schedule, Items items, RefineSchedule refine,
-                     PrecisionPolicy precision)
-    : engine_(engine), mode_(mode), items_(items), refine_(refine), precision_(precision) {
-  // Compact measurement frames are indexed by ITEM, so they are only built
-  // when item order and frame order coincide: an explicit per-item frame
-  // list, or the identity mapping over the dataset. (No current solver
-  // remaps ids while reading the shared dataset frames.)
-  const bool can_compact = precision_.storage != compact::Format::kNone &&
-                           (items_.measurements != nullptr || items_.ids == nullptr);
-  if (can_compact) {
-    const std::vector<RArray2D>& frames = items_.measurements != nullptr
-                                              ? *items_.measurements
-                                              : engine_.dataset().measurements;
-    compact_meas_.emplace(frames, precision_.storage);
-  }
+                     SweepSchedule schedule, Items items, RefineSchedule refine)
+    : engine_(engine), mode_(mode), items_(items), refine_(refine) {
   if (mode_ == UpdateMode::kFullBatch) {
     pool_.emplace(threads);
     scheduler_ = make_sweep_scheduler(schedule, *pool_);
-    sweeper_.emplace(engine_, *scheduler_, precision_.storage);
-    if (compact_meas_) sweeper_->set_compact_measurements(&*compact_meas_);
+    sweeper_.emplace(engine_, *scheduler_);
   } else {
     // SGD sweeps only ever mutate the volume through apply_gradient, so
     // the transmittance cache contract holds.
-    workspace_.emplace(engine_.make_workspace(precision_.storage));
+    workspace_.emplace(engine_.make_workspace());
     workspace_->cache_transmittance = true;
     const auto n = static_cast<index_t>(engine_.dataset().spec.grid.probe_n);
     grad_scratch_.emplace(engine_.dataset().spec.slices, Rect{0, 0, n, n});
-    if (compact_meas_) {
-      workspace_->meas_scratch = RArray2D(compact_meas_->rows(), compact_meas_->cols());
-    }
   }
 }
 
@@ -186,15 +169,8 @@ void SweepPass::on_chunk(SolverState& state, const StepPoint& point) {
       grad_scratch_->frame = engine_.window(id);
       grad_scratch_->data.fill(cplx{});
       View2D<cplx> pg_view = state.probe_grad_field->view();
-      View2D<const real> meas;
-      if (compact_meas_) {
-        compact_meas_->decode_into(static_cast<usize>(i), workspace_->meas_scratch.view());
-        meas = workspace_->meas_scratch.view();
-      } else {
-        meas = measurement(i);
-      }
       state.sweep_cost += engine_.probe_gradient_joint(
-          id, *state.probe, meas, *state.volume, *grad_scratch_, *workspace_,
+          id, *state.probe, measurement(i), *state.volume, *grad_scratch_, *workspace_,
           refine_now ? &pg_view : nullptr);
       state.accbuf->accumulate(*grad_scratch_, grad_scratch_->frame);
       apply_gradient(*state.volume, *grad_scratch_, grad_scratch_->frame, state.step);
@@ -417,8 +393,7 @@ HveLocalSweepPass::HveLocalSweepPass(const GradientEngine& engine,
                                      const std::vector<index_t>& probes,
                                      const std::vector<RArray2D>& measurements,
                                      usize own_count, int epochs, UpdateMode mode,
-                                     int threads, SweepSchedule schedule,
-                                     PrecisionPolicy precision)
+                                     int threads, SweepSchedule schedule)
     : engine_(engine),
       probes_(probes),
       measurements_(measurements),
@@ -428,11 +403,7 @@ HveLocalSweepPass::HveLocalSweepPass(const GradientEngine& engine,
   if (mode_ == UpdateMode::kFullBatch) {
     pool_.emplace(threads);
     scheduler_ = make_sweep_scheduler(schedule, *pool_);
-    sweeper_.emplace(engine_, *scheduler_, precision.storage);
-    if (precision.storage != compact::Format::kNone && !measurements_.empty()) {
-      compact_meas_.emplace(measurements_, precision.storage);
-      sweeper_->set_compact_measurements(&*compact_meas_);
-    }
+    sweeper_.emplace(engine_, *scheduler_);
   } else {
     workspace_.emplace(engine.make_workspace());
     const auto n = static_cast<index_t>(engine.dataset().spec.grid.probe_n);

@@ -38,7 +38,6 @@
 #include "ckpt/snapshot.hpp"
 #include "core/optimizer.hpp"
 #include "core/pipeline.hpp"
-#include "core/precision.hpp"
 #include "core/sweep.hpp"
 #include "partition/overlap.hpp"
 #include "runtime/cluster.hpp"
@@ -155,15 +154,8 @@ class SweepPass final : public Pass {
 
   /// `threads` is the resolved worker count for the full-batch scheduler
   /// (callers apply their own auto-division policy before constructing).
-  /// `precision` (fast tier) selects the FMA kernel column process-wide at
-  /// the dispatch layer — here it only controls compact storage: with a
-  /// 16-bit format the pass snapshots its measurement frames into a
-  /// compact::FrameStack (decoded per item into workspace scratch) and the
-  /// pooled transmittance caches persist compactly. Strict default leaves
-  /// every byte of the historical path untouched.
   SweepPass(const GradientEngine& engine, UpdateMode mode, int threads,
-            SweepSchedule schedule, Items items, RefineSchedule refine,
-            PrecisionPolicy precision = {});
+            SweepSchedule schedule, Items items, RefineSchedule refine);
 
   [[nodiscard]] const char* name() const override { return "sweep"; }
   [[nodiscard]] obs::Phase phase() const override { return obs::Phase::kCompute; }
@@ -195,11 +187,6 @@ class SweepPass final : public Pass {
   UpdateMode mode_;
   Items items_;
   RefineSchedule refine_;
-  PrecisionPolicy precision_;
-  /// Fast tier: the pass's own compact copy of its measurement frames,
-  /// item-indexed exactly like measurement(). Unset on the strict tier (or
-  /// when items remap ids over the shared dataset, where item != frame).
-  std::optional<compact::FrameStack> compact_meas_;
   // Full-batch machinery (unset in SGD mode).
   std::optional<ThreadPool> pool_;
   std::unique_ptr<SweepScheduler> scheduler_;
@@ -459,15 +446,11 @@ class CheckpointFinalizePass final : public Pass {
 class HveLocalSweepPass final : public Pass {
  public:
   /// `threads`/`schedule` configure the full-batch sweeper; SGD mode
-  /// ignores them (its machinery is inherently sequential). `precision`
-  /// compacts the full-batch sweeper's measurement frames and workspace
-  /// caches like SweepPass; the SGD loop keeps its rank-local f32 frames
-  /// (its sequential per-probe walk is not bandwidth-bound).
+  /// ignores them (its machinery is inherently sequential).
   HveLocalSweepPass(const GradientEngine& engine, const std::vector<index_t>& probes,
                     const std::vector<RArray2D>& measurements, usize own_count, int epochs,
                     UpdateMode mode = UpdateMode::kSgd, int threads = 1,
-                    SweepSchedule schedule = SweepSchedule::kAuto,
-                    PrecisionPolicy precision = {});
+                    SweepSchedule schedule = SweepSchedule::kAuto);
 
   [[nodiscard]] const char* name() const override { return "hve-local-sweep"; }
   [[nodiscard]] obs::Phase phase() const override { return obs::Phase::kCompute; }
@@ -496,7 +479,6 @@ class HveLocalSweepPass final : public Pass {
   std::optional<ThreadPool> pool_;
   std::unique_ptr<SweepScheduler> scheduler_;
   std::optional<BatchSweeper> sweeper_;
-  std::optional<compact::FrameStack> compact_meas_;  ///< fast tier only
   std::optional<AccumulationBuffer> accbuf_;
 };
 

@@ -7,10 +7,8 @@
 #include "backend/kernels.hpp"
 #include "common/log.hpp"
 #include "common/timer.hpp"
-#include "core/precision.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
-#include "obs/trace.hpp"
 
 namespace ptycho {
 
@@ -42,22 +40,9 @@ ReconstructionOutcome Reconstructor::run(const ReconstructionRequest& request,
                                << "' is not available (want scalar|simd|auto; simd requires "
                                   "CPU support)");
   }
-  // The precision tier re-resolves the kernel tables process-wide, exactly
-  // like the backend choice above; strict (the default) maps onto the same
-  // tables the engine used before the knob existed.
-  apply_precision(request.exec.precision);
   // One session for the whole supervised run: recovery counters must
   // accumulate across attempts, not reset with each retry.
   obs::Session session(obs::SessionConfig{request.exec.trace_out, request.exec.metrics_out});
-  // Numerics provenance: every trace/metrics artifact this session emits
-  // names the tier its numbers were produced under.
-  obs::instant(request.exec.precision.fast() ? "precision-fast" : "precision-strict");
-  if (obs::metrics_enabled()) {
-    obs::registry().gauge("ptycho.precision").set(request.exec.precision.fast() ? 1.0 : 0.0);
-    obs::registry()
-        .gauge("ptycho.precision.storage")
-        .set(static_cast<double>(request.exec.precision.storage));
-  }
 
   // Supervised retry loop (in-process clusters only: a distributed rank
   // cannot re-form the mesh from inside — its launch parent respawns it).

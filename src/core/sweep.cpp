@@ -7,8 +7,7 @@
 
 namespace ptycho {
 
-BatchSweeper::BatchSweeper(const GradientEngine& engine, SweepScheduler& scheduler,
-                           compact::Format compact_trans)
+BatchSweeper::BatchSweeper(const GradientEngine& engine, SweepScheduler& scheduler)
     : engine_(engine),
       scheduler_(scheduler),
       // The sweep's only volume mutations go through apply_gradient, which
@@ -16,7 +15,7 @@ BatchSweeper::BatchSweeper(const GradientEngine& engine, SweepScheduler& schedul
       // holds here, for every slot of the pool.
       workspaces_(static_cast<index_t>(engine.dataset().spec.grid.probe_n),
                   engine.dataset().spec.slices, scheduler.slots(),
-                  /*cache_transmittance=*/true, compact_trans) {
+                  /*cache_transmittance=*/true) {
   const auto n = static_cast<index_t>(engine_.dataset().spec.grid.probe_n);
   const index_t slices = engine_.dataset().spec.slices;
   item_grad_.reserve(static_cast<usize>(kBatch));
@@ -26,18 +25,6 @@ BatchSweeper::BatchSweeper(const GradientEngine& engine, SweepScheduler& schedul
     item_probe_grad_.emplace_back(n, n);
   }
   item_cost_.assign(static_cast<usize>(kBatch), 0.0);
-}
-
-void BatchSweeper::set_compact_measurements(const compact::FrameStack* frames) {
-  compact_meas_ = (frames != nullptr && !frames->empty()) ? frames : nullptr;
-  if (compact_meas_ == nullptr) return;
-  // Size the per-slot decode scratch now, on the calling thread, so
-  // per-rank memory tracking charges it to the owning rank.
-  for (int s = 0; s < workspaces_.slots(); ++s) {
-    if (workspaces_[s].meas_scratch.empty()) {
-      workspaces_[s].meas_scratch = RArray2D(compact_meas_->rows(), compact_meas_->cols());
-    }
-  }
 }
 
 void BatchSweeper::sweep(index_t begin, index_t end, const Probe& probe,
@@ -64,15 +51,8 @@ void BatchSweeper::sweep(index_t begin, index_t end, const Probe& probe,
         pg_view = item_probe_grad_[uk].view();
         pg = &pg_view;
       }
-      MultisliceWorkspace& ws = workspaces_[slot];
-      View2D<const real> meas;
-      if (compact_meas_ != nullptr) {
-        compact_meas_->decode_into(static_cast<usize>(item), ws.meas_scratch.view());
-        meas = ws.meas_scratch.view();
-      } else {
-        meas = measurement_of(item);
-      }
-      item_cost_[uk] = engine_.probe_gradient_joint(id, probe, meas, volume, grad, ws, pg);
+      item_cost_[uk] = engine_.probe_gradient_joint(id, probe, measurement_of(item), volume, grad,
+                                                    workspaces_[slot], pg);
     };
     {
       // Phase is kNone: the pipeline's SweepPass span already owns the

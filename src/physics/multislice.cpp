@@ -8,56 +8,29 @@
 
 namespace ptycho {
 
-MultisliceWorkspace::MultisliceWorkspace(index_t probe_n, index_t slices,
-                                         compact::Format compact_trans_format)
-    : psi(probe_n, probe_n),
-      far(probe_n, probe_n),
-      grad(probe_n, probe_n),
-      scratch(probe_n, probe_n),
-      compact_trans(compact_trans_format) {
+MultisliceWorkspace::MultisliceWorkspace(index_t probe_n, index_t slices)
+    : psi(probe_n, probe_n), far(probe_n, probe_n), grad(probe_n, probe_n),
+      scratch(probe_n, probe_n) {
   psi_in.reserve(static_cast<usize>(slices));
   trans.reserve(static_cast<usize>(slices));
-  const bool compact = compact_trans != compact::Format::kNone;
   for (index_t s = 0; s < slices; ++s) {
     psi_in.emplace_back(probe_n, probe_n);
-    // With a compact cache the f32 planes stay unallocated (0x0) unless a
-    // non-cacheable model later forces them (see compute_transmittance).
-    trans.emplace_back(compact ? 0 : probe_n, compact ? 0 : probe_n);
+    trans.emplace_back(probe_n, probe_n);
   }
 }
 
 WorkspacePool::WorkspacePool(index_t probe_n, index_t slices, int slots,
-                             bool cache_transmittance, compact::Format compact_trans) {
+                             bool cache_transmittance) {
   PTYCHO_REQUIRE(slots >= 1, "workspace pool needs at least one slot");
   workspaces_.reserve(static_cast<usize>(slots));
   for (int s = 0; s < slots; ++s) {
-    workspaces_.emplace_back(probe_n, slices, cache_transmittance ? compact_trans
-                                                                  : compact::Format::kNone);
+    workspaces_.emplace_back(probe_n, slices);
     workspaces_.back().cache_transmittance = cache_transmittance;
   }
 }
 
 MultisliceOperator::MultisliceOperator(const OpticsGrid& grid, MultisliceConfig config)
     : grid_(grid), config_(config), propagator_(grid) {}
-
-bool MultisliceOperator::compact_cache_active(const MultisliceWorkspace& ws) const {
-  // Compact storage rides the transmittance *cache*: without the cache the
-  // planes are rebuilt per evaluation and encoding them would only add
-  // work. kTransmittance evaluations always run f32.
-  return ws.compact_trans != compact::Format::kNone &&
-         config_.model == ObjectModel::kPotential && ws.cache_transmittance;
-}
-
-View2D<const cplx> MultisliceOperator::slice_transmittance(MultisliceWorkspace& ws,
-                                                           index_t s) const {
-  const auto us = static_cast<usize>(s);
-  if (!compact_cache_active(ws)) return ws.trans[us].view();
-  const auto n = static_cast<index_t>(grid_.probe_n);
-  if (ws.trans_scratch.empty()) ws.trans_scratch = CArray2D(n, n);
-  compact::decode(ws.compact_trans, reinterpret_cast<real*>(ws.trans_scratch.data()),
-                  ws.trans_c[us].data(), static_cast<usize>(n) * static_cast<usize>(n) * 2);
-  return ws.trans_scratch.view();
-}
 
 void MultisliceOperator::compute_transmittance(const FramedVolume& volume, const Rect& window,
                                                MultisliceWorkspace& ws) const {
@@ -78,24 +51,9 @@ void MultisliceOperator::compute_transmittance(const FramedVolume& volume, const
     static obs::Counter& misses = obs::registry().counter("workspace_cache_misses_total");
     misses.add(1);
   }
-  const bool compact = compact_cache_active(ws);
-  const auto n = static_cast<index_t>(grid_.probe_n);
-  if (compact) {
-    const usize plane = static_cast<usize>(n) * static_cast<usize>(n) * 2;
-    if (ws.trans_c.size() != static_cast<usize>(slices)) {
-      ws.trans_c.assign(static_cast<usize>(slices), std::vector<std::uint16_t>(plane));
-    }
-    if (ws.trans_scratch.empty()) ws.trans_scratch = CArray2D(n, n);
-  }
   for (index_t s = 0; s < slices; ++s) {
     View2D<const cplx> v = volume.window(s, window);
-    // A compact-configured workspace defers the f32 planes; allocate them
-    // here if a non-cacheable evaluation (e.g. kTransmittance model) needs
-    // one after all.
-    if (!compact && ws.trans[static_cast<usize>(s)].empty()) {
-      ws.trans[static_cast<usize>(s)] = CArray2D(n, n);
-    }
-    View2D<cplx> t = compact ? ws.trans_scratch.view() : ws.trans[static_cast<usize>(s)].view();
+    View2D<cplx> t = ws.trans[static_cast<usize>(s)].view();
     if (config_.model == ObjectModel::kTransmittance) {
       copy(v, t);
       continue;
@@ -110,11 +68,6 @@ void MultisliceOperator::compute_transmittance(const FramedVolume& volume, const
         const real phase = sigma * vr[x].real();
         tr[x] = cplx(amp * std::cos(phase), amp * std::sin(phase));
       }
-    }
-    if (compact) {
-      compact::encode(ws.compact_trans, ws.trans_c[static_cast<usize>(s)].data(),
-                      reinterpret_cast<const real*>(ws.trans_scratch.data()),
-                      static_cast<usize>(n) * static_cast<usize>(n) * 2);
     }
   }
   if (cacheable) {
@@ -137,7 +90,7 @@ void MultisliceOperator::forward(const Probe& probe, const FramedVolume& volume,
   for (index_t s = 0; s < slices; ++s) {
     // Record the wavefield entering the slice (needed for the adjoint).
     copy(ws.psi.view(), ws.psi_in[static_cast<usize>(s)].view());
-    multiply_inplace(slice_transmittance(ws, s), ws.psi.view());
+    multiply_inplace(ws.trans[static_cast<usize>(s)].view(), ws.psi.view());
     if (s + 1 < slices) propagator_.apply(ws.psi.view());
   }
   // The last slice's propagation would end with an inverse FFT that the
@@ -233,7 +186,7 @@ double MultisliceOperator::cost_and_gradient(const Probe& probe, const FramedVol
     if (s + 1 < slices) propagator_.apply_adjoint(ws.grad.view());
     const auto us = static_cast<usize>(s);
     View2D<const cplx> psi_in = ws.psi_in[us].view();
-    View2D<const cplx> trans = slice_transmittance(ws, s);
+    View2D<const cplx> trans = ws.trans[us].view();
     View2D<cplx> g_slice = grad_out.window(s, window);
     // gt = conj(psi_in) .* g ; gV = gt (transmittance) or conj(i sigma t) .* gt.
     for (index_t y = 0; y < n; ++y) {

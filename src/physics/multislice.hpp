@@ -6,8 +6,8 @@
 // The last slice's Prop ends with an inverse FFT that the far-field FFT
 // undoes, so the operator elides that roundtrip and forms
 // Psi = (1/n) H .* FFT(t_last .* psi) directly (H the propagator kernel);
-// the adjoint mirrors it. This is the one operation sequence on every
-// precision tier, so 4S - 2 FFTs run per cost-and-gradient evaluation.
+// the adjoint mirrors it, so 4S - 2 FFTs run per cost-and-gradient
+// evaluation.
 // The per-probe cost is f_i(V) = sum_k ( |y_i[k]| - |Psi[k]| )^2 and the
 // gradient dF/dV is obtained by reverse-mode differentiation through the
 // slice chain. The gradient has support only inside the probe window —
@@ -19,7 +19,6 @@
 
 #include "physics/probe.hpp"
 #include "physics/propagator.hpp"
-#include "tensor/compact.hpp"
 #include "tensor/framed.hpp"
 #include "tensor/ops.hpp"
 
@@ -52,23 +51,8 @@ struct MultisliceWorkspace {
   std::uint64_t trans_revision = 0;  ///< revision ws.trans was built from (0 = none)
   Rect trans_window{};               ///< window ws.trans was built for
 
-  /// Fast-tier compact transmittance cache (kNone on the strict tier):
-  /// when set AND the cache above is engaged (kPotential + enabled), the
-  /// cached planes persist as 16-bit payloads in `trans_c` — half the
-  /// resident footprint and half the read bandwidth per hit — and each
-  /// slice is decoded into `trans_scratch` at use. The f32 `trans` planes
-  /// are then never allocated. Tolerance-gated like all fast-tier state.
-  compact::Format compact_trans = compact::Format::kNone;
-  std::vector<std::vector<std::uint16_t>> trans_c;  ///< encoded planes (2*n*n halves each)
-  CArray2D trans_scratch;                           ///< per-use decode target (one plane)
-
-  /// Fast-tier measurement decode target (lazily sized by the sweep when
-  /// measurements are held compact; unused otherwise).
-  RArray2D meas_scratch;
-
   MultisliceWorkspace() = default;
-  MultisliceWorkspace(index_t probe_n, index_t slices,
-                      compact::Format compact_trans = compact::Format::kNone);
+  MultisliceWorkspace(index_t probe_n, index_t slices);
 };
 
 /// One workspace per execution slot of a sweep scheduler. The pool is
@@ -79,8 +63,7 @@ struct MultisliceWorkspace {
 /// which slot (and therefore which workspace) evaluated them.
 class WorkspacePool {
  public:
-  WorkspacePool(index_t probe_n, index_t slices, int slots, bool cache_transmittance,
-                compact::Format compact_trans = compact::Format::kNone);
+  WorkspacePool(index_t probe_n, index_t slices, int slots, bool cache_transmittance);
 
   [[nodiscard]] int slots() const { return static_cast<int>(workspaces_.size()); }
   [[nodiscard]] MultisliceWorkspace& operator[](int slot) {
@@ -134,19 +117,9 @@ class MultisliceOperator {
               View2D<const real> y_mag, MultisliceWorkspace& ws) const;
 
  private:
-  /// Fill ws.trans[s] (or ws.trans_c[s] when the compact cache is active)
-  /// from the volume window.
+  /// Fill ws.trans[s] from the volume window.
   void compute_transmittance(const FramedVolume& volume, const Rect& window,
                              MultisliceWorkspace& ws) const;
-
-  /// True when this evaluation stores/reads the transmittance compactly.
-  [[nodiscard]] bool compact_cache_active(const MultisliceWorkspace& ws) const;
-
-  /// Slice transmittance for use in the forward/adjoint chain: the f32
-  /// plane, or a decode of the compact plane into ws.trans_scratch (valid
-  /// until the next slice is requested).
-  [[nodiscard]] View2D<const cplx> slice_transmittance(MultisliceWorkspace& ws,
-                                                       index_t s) const;
 
   OpticsGrid grid_;
   MultisliceConfig config_;

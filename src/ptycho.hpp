@@ -14,7 +14,6 @@
 #include "common/types.hpp"
 
 #include "tensor/array.hpp"
-#include "tensor/compact.hpp"
 #include "tensor/framed.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/region.hpp"
@@ -57,7 +56,6 @@
 #include "core/memory_model.hpp"
 #include "core/passes.hpp"
 #include "core/pipeline.hpp"
-#include "core/precision.hpp"
 #include "core/reconstructor.hpp"
 #include "core/seam_metric.hpp"
 #include "core/serial_solver.hpp"

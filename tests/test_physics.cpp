@@ -6,7 +6,6 @@
 
 #include <cmath>
 
-#include "backend/kernels.hpp"
 #include "common/random.hpp"
 #include "data/synthetic.hpp"
 #include "obs/metrics.hpp"
@@ -58,14 +57,6 @@ CArray2D random_field(index_t n, std::uint64_t seed) {
   }
   return f;
 }
-
-/// Switches the process to the fast tier for one test: the multislice
-/// operator runs the same operation sequence through the FMA kernel
-/// tables, which these checks must also cover.
-struct FastTierScope {
-  FastTierScope() { backend::set_precision(backend::Precision::kFast); }
-  ~FastTierScope() { backend::set_precision(backend::Precision::kStrict); }
-};
 
 TEST(Optics, ElectronWavelength) {
   // Known values: 100 kV -> 3.701 pm, 200 kV -> 2.508 pm, 300 kV -> 1.969 pm.
@@ -230,7 +221,7 @@ TEST(Multislice, CostZeroWhenMeasurementsMatch) {
 /// the far-field seed is exactly 2 A(p0), so the probe gradient is
 /// A^H (2 A p0). This covers the last-slice step, where the operator
 /// elides the spectral roundtrip, which the propagator-only test cannot.
-void check_chain_adjoint(double rel_bound) {
+TEST(Multislice, AdjointDotTest) {
   const OpticsGrid grid = test_grid(16);
   MultisliceOperator op(grid);
   const auto n = static_cast<index_t>(grid.probe_n);
@@ -253,14 +244,7 @@ void check_chain_adjoint(double rel_bound) {
   op.forward(Probe(a.clone()), object, window, ws);
   const auto lhs = dot(ws.far.view(), b.view());
   const auto rhs = dot(a.view(), adj.view());
-  EXPECT_LT(std::abs(lhs - rhs), rel_bound * std::abs(lhs)) << "lhs " << lhs << " rhs " << rhs;
-}
-
-TEST(Multislice, AdjointDotTest) { check_chain_adjoint(1e-5); }
-
-TEST(Multislice, AdjointDotTestElided) {
-  FastTierScope fast;
-  check_chain_adjoint(1e-5);
+  EXPECT_LT(std::abs(lhs - rhs), 1e-5 * std::abs(lhs)) << "lhs " << lhs << " rhs " << rhs;
 }
 
 // Finite-difference check of the analytic gradient, for both object
@@ -325,11 +309,6 @@ class MultisliceGradient : public ::testing::TestWithParam<ObjectModel> {};
 
 TEST_P(MultisliceGradient, MatchesFiniteDifference) { check_gradient_matches_fd(GetParam(), 0.15); }
 
-TEST_P(MultisliceGradient, MatchesFiniteDifferenceElided) {
-  FastTierScope fast;
-  check_gradient_matches_fd(GetParam(), 0.15);
-}
-
 INSTANTIATE_TEST_SUITE_P(Models, MultisliceGradient,
                          ::testing::Values(ObjectModel::kTransmittance,
                                            ObjectModel::kPotential));
@@ -355,15 +334,13 @@ std::uint64_t transforms_per_evaluation(index_t slices) {
   return after - before;
 }
 
-// The last-slice roundtrip is elided on every tier: S - 1 propagator
-// pairs plus the far-field forward, mirrored by the adjoint, is 4S - 2
-// transforms; a tier that replayed the roundtrip would run 4S + 2.
-TEST(Multislice, ElidesLastSliceRoundtripOnEveryTier) {
+// The last-slice roundtrip is elided: S - 1 propagator pairs plus the
+// far-field forward, mirrored by the adjoint, is 4S - 2 transforms; an
+// operator that replayed the roundtrip would run 4S + 2.
+TEST(Multislice, ElidesLastSliceRoundtrip) {
   for (const index_t slices : {index_t{1}, index_t{3}, index_t{8}}) {
-    const auto expected = static_cast<std::uint64_t>(4 * slices - 2);
-    EXPECT_EQ(transforms_per_evaluation(slices), expected) << "strict, slices=" << slices;
-    FastTierScope fast;
-    EXPECT_EQ(transforms_per_evaluation(slices), expected) << "fast, slices=" << slices;
+    EXPECT_EQ(transforms_per_evaluation(slices), static_cast<std::uint64_t>(4 * slices - 2))
+        << "slices=" << slices;
   }
 }
 

@@ -18,7 +18,9 @@
 #include "ckpt/snapshot.hpp"
 #include "common/error.hpp"
 #include "common/function_ref.hpp"
+#include "common/options.hpp"
 #include "common/parallel.hpp"
+#include "core/exec_options.hpp"
 #include "core/gradient_decomposition.hpp"
 #include "core/passes.hpp"
 #include "core/pipeline.hpp"
@@ -173,6 +175,29 @@ TEST(SweepSchedule, ParseAndPrint) {
   EXPECT_THROW((void)sweep_schedule_from_string("dynamic"), Error);
   EXPECT_STREQ(to_string(SweepSchedule::kStatic), "static");
   EXPECT_STREQ(to_string(SweepSchedule::kWorkStealing), "work-stealing");
+}
+
+/// parse_exec_options over a single `--precision VALUE` flag.
+ExecOptions parse_precision_flag(const char* value) {
+  const char* argv[] = {"prog", "--precision", value};
+  return parse_exec_options(Options::parse(3, argv));
+}
+
+// --precision survives only for existing command lines: strict is the one
+// numerical contract, and the removed fast-tier spellings fail loudly
+// rather than silently running strict.
+TEST(ExecOptions, PrecisionAcceptsOnlyStrict) {
+  EXPECT_NO_THROW((void)parse_precision_flag("strict"));
+  for (const char* removed : {"fast", "fast:f16", "fast:bf16"}) {
+    try {
+      (void)parse_precision_flag(removed);
+      ADD_FAILURE() << "--precision " << removed << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("fast tier was removed"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)parse_precision_flag("double"), Error);
 }
 
 // --- pipeline structure ------------------------------------------------------

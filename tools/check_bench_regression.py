@@ -19,11 +19,7 @@ tracing + metrics cannot silently become expensive, and the
 sweep_probes_per_sec_{sync_ckpt,async} pair guards the checkpointed
 end-to-end pipeline in both scheduling modes (async regressing toward
 or below sync means the background slot stopped hiding the shard
-I/O), and the fast-tier columns guard the --precision fast path:
-sweep_probes_per_sec_1t_fast (the end-to-end FMA + compact-storage
-sweep), cmul_mb_per_sec_fma (the FMA kernel table directly) and
-transmittance_cache_mb (a lower-is-better footprint: the compact cache
-growing back toward f32 size is a regression even if throughput holds).
+I/O).
 
 Multi-thread speedup columns (sweep_speedup and friends) are guarded
 only when the baseline was produced on a multi-core host: on a 1-core
@@ -46,8 +42,7 @@ DEFAULT_KEYS = (
     "sweep_probes_per_sec_1t,fft2d_256_mb_per_sec,"
     "sweep_probes_per_sec_ws,sweep_probes_per_sec_1t_traced,"
     "sweep_probes_per_sec_sync_ckpt,sweep_probes_per_sec_async,"
-    "sweep_speedup,"
-    "sweep_probes_per_sec_1t_fast,cmul_mb_per_sec_fma,transmittance_cache_mb"
+    "sweep_speedup"
 )
 
 # Metrics that only mean anything when more than one core was available to
@@ -58,10 +53,6 @@ MULTITHREAD_SPEEDUP_KEYS = {
     "sweep_probes_per_sec_ws_nt",
     "sweep_ws_vs_static_nt",
 }
-
-# Metrics where smaller is better (footprints); the gate fails when they
-# GROW by more than the tolerance.
-LOWER_IS_BETTER_KEYS = {"transmittance_cache_mb"}
 
 
 def cores(doc: dict) -> int:
@@ -84,7 +75,7 @@ def main() -> int:
     parser.add_argument(
         "--keys",
         default=DEFAULT_KEYS,
-        help="comma-separated metrics to guard (higher-is-better unless known otherwise)",
+        help="comma-separated higher-is-better metrics to guard",
     )
     args = parser.parse_args()
 
@@ -114,15 +105,10 @@ def main() -> int:
             print(f"  SKIP {key}: non-positive baseline {base}")
             continue
         ratio = now / base
-        if key in LOWER_IS_BETTER_KEYS:
-            verdict = "OK" if ratio <= 1.0 + args.tolerance else "FAIL"
-            direction = "(lower is better)"
-        else:
-            verdict = "OK" if ratio >= 1.0 - args.tolerance else "FAIL"
-            direction = ""
+        verdict = "OK" if ratio >= 1.0 - args.tolerance else "FAIL"
         failed |= verdict == "FAIL"
         compared += 1
-        print(f"  {verdict:4} {key}: baseline {base:.6g} -> fresh {now:.6g} ({ratio:.2f}x){direction}")
+        print(f"  {verdict:4} {key}: baseline {base:.6g} -> fresh {now:.6g} ({ratio:.2f}x)")
 
     if compared == 0:
         # All-skip means the gate compared nothing — a renamed metric or a

@@ -26,10 +26,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "ptycho.hpp"
 
@@ -264,12 +268,73 @@ int cmd_reconstruct(const Options& opts) {
 // Matches sysexits' EX_TEMPFAIL by intent.
 constexpr int kExitRankFailure = 75;
 
+// Once a child has died (an exit other than 0 or 75), the others get this
+// long to exit on their own before the parent SIGKILLs them. A survivor
+// sees the dead peer's sockets close and exits 75 within milliseconds; a
+// rank still stuck in mesh formation (or in a handshake with a stranger
+// holding its roster port) would otherwise wait out its connect timeout,
+// or forever. Raised to --liveness-timeout-ms when that is longer, so a
+// rank busy in a long chunk is not killed before it could notice.
+constexpr int kDeadRankGraceMs = 5000;
+
+/// Exit code recorded for a child the parent had to SIGKILL.
+constexpr int kExitKilled = 128 + SIGKILL;
+
+/// Wait for every child and return their exit codes in rank order.
+/// Children are reaped in exit order, not rank order: after the first
+/// death the rest get `grace_ms` to exit, then are killed.
+std::vector<int> reap_children(const std::vector<pid_t>& children, int grace_ms) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<int> codes(children.size(), -1);  // -1 = still running
+  usize running = children.size();
+  Clock::time_point kill_at = Clock::time_point::max();
+  while (running > 0) {
+    const bool armed = kill_at != Clock::time_point::max();
+    int status = 0;
+    const pid_t pid = waitpid(-1, &status, armed ? WNOHANG : 0);
+    if (pid < 0) {
+      if (errno == EINTR) continue;
+      break;  // ECHILD: nothing left to reap
+    }
+    if (pid > 0) {
+      const auto it = std::find(children.begin(), children.end(), pid);
+      if (it == children.end()) continue;
+      const int code = WIFEXITED(status) ? WEXITSTATUS(status) : 128;
+      codes[static_cast<usize>(it - children.begin())] = code;
+      --running;
+      if (!armed && code != 0 && code != kExitRankFailure) {
+        kill_at = Clock::now() + std::chrono::milliseconds(grace_ms);
+      }
+      continue;
+    }
+    if (Clock::now() < kill_at) {
+      usleep(10 * 1000);
+      continue;
+    }
+    for (usize r = 0; r < children.size(); ++r) {
+      if (codes[r] != -1) continue;
+      std::fprintf(stderr, "rank %zu still running %d ms after a rank died; killing it\n", r,
+                   grace_ms);
+      kill(children[r], SIGKILL);
+    }
+    for (usize r = 0; r < children.size(); ++r) {
+      if (codes[r] != -1) continue;
+      waitpid(children[r], &status, 0);
+      codes[r] = kExitKilled;
+    }
+    running = 0;
+  }
+  return codes;
+}
+
 int cmd_launch(const Options& opts, int nprocs) {
   PTYCHO_CHECK(nprocs >= 1, "--launch needs at least one process");
   const int port_base = static_cast<int>(opts.get_int("port-base", 38400));
   const int max_restarts = static_cast<int>(opts.get_int("max-restarts", 0));
   const int backoff_ms = static_cast<int>(opts.get_int("restart-backoff-ms", 100));
   const bool can_recover = max_restarts > 0 && !opts.get_string("checkpoint-dir", "").empty();
+  const int grace_ms = std::max(
+      kDeadRankGraceMs, static_cast<int>(opts.get_int("liveness-timeout-ms", 0)));
 
   int nranks = nprocs;
   for (int attempt = 0;; ++attempt) {
@@ -335,13 +400,13 @@ int cmd_launch(const Options& opts, int nprocs) {
 
     // Classify the exits: clean completions, survivors of a rank failure
     // (exit 75 — respawnable), and dead ranks (signals, hard exits, other
-    // errors — dropped from the next generation).
+    // errors, kills after the grace period — dropped from the next
+    // generation).
+    const std::vector<int> codes = reap_children(children, grace_ms);
     int completed = 0;
     int survivors = 0;
-    for (usize r = 0; r < children.size(); ++r) {
-      int status = 0;
-      waitpid(children[r], &status, 0);
-      const int code = WIFEXITED(status) ? WEXITSTATUS(status) : 128;
+    for (usize r = 0; r < codes.size(); ++r) {
+      const int code = codes[r];
       if (code == 0) {
         ++completed;
         ++survivors;
@@ -389,11 +454,6 @@ int main(int argc, char** argv) {
       PTYCHO_CHECK(backend::select(backend),
                    "--backend " << backend << " is not available (want scalar|simd|auto; "
                                 << "simd requires CPU support)");
-    }
-    // The precision tier re-resolves the same dispatch point (the solvers
-    // re-apply it from ExecOptions, but simulate/info never build one).
-    if (opts.has("precision")) {
-      apply_precision(parse_precision(opts.get_string("precision", "")));
     }
     if (command == "simulate") return cmd_simulate(opts);
     if (command == "info") return cmd_info(opts);
