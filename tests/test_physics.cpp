@@ -251,7 +251,10 @@ TEST(Multislice, AdjointDotTest) {
 // models. The Wirtinger gradient g satisfies, for a real perturbation e
 // at one voxel: d cost / d eps ≈ Re(g); for imaginary: ≈ Im(g)... wait:
 // f(V + eps) - f(V) ≈ Re(conj(g) * eps) with our convention g = 2 dF/dV*.
-void check_gradient_matches_fd(ObjectModel model, double bound) {
+class MultisliceGradient : public ::testing::TestWithParam<ObjectModel> {};
+
+TEST_P(MultisliceGradient, MatchesFiniteDifference) {
+  const ObjectModel model = GetParam();
   const OpticsGrid grid = test_grid(16);
   Probe probe(grid, test_probe_params());
   MultisliceConfig config;
@@ -299,15 +302,11 @@ void check_gradient_matches_fd(ObjectModel model, double bound) {
     const double analytic = imaginary ? static_cast<double>(g.imag())
                                       : static_cast<double>(g.real());
     const double scale = std::max({std::abs(numeric), std::abs(analytic), 1e-3});
-    EXPECT_NEAR(numeric / scale, analytic / scale, bound)
+    EXPECT_NEAR(numeric / scale, analytic / scale, 0.15)
         << "model=" << static_cast<int>(model) << " trial=" << trial << " s=" << s
         << " y=" << y << " x=" << x;
   }
 }
-
-class MultisliceGradient : public ::testing::TestWithParam<ObjectModel> {};
-
-TEST_P(MultisliceGradient, MatchesFiniteDifference) { check_gradient_matches_fd(GetParam(), 0.15); }
 
 INSTANTIATE_TEST_SUITE_P(Models, MultisliceGradient,
                          ::testing::Values(ObjectModel::kTransmittance,
