@@ -10,6 +10,7 @@
 #include "core/gradient_engine.hpp"
 #include "data/simulate.hpp"
 #include "fft/fft2d.hpp"
+#include "physics/propagator.hpp"
 #include "runtime/cluster.hpp"
 #include "tensor/ops.hpp"
 
@@ -27,7 +28,7 @@ void BM_Fft1D(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_Fft1D)->Arg(64)->Arg(256)->Arg(1024)->Arg(100)->Arg(360);  // pow2 + Bluestein
+BENCHMARK(BM_Fft1D)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_Fft2D(benchmark::State& state) {
   const auto n = static_cast<usize>(state.range(0));
@@ -43,6 +44,25 @@ void BM_Fft2D(benchmark::State& state) {
                           static_cast<std::int64_t>(n * n));
 }
 BENCHMARK(BM_Fft2D)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
+
+void BM_Fft2DPropagatorPair(benchmark::State& state) {
+  // The pair the sweep actually runs: one Propagator::apply is a column
+  // DIF, a transpose, row DIF, spectral multiply, row DIT, a transpose back
+  // and a column DIT, with the spectrum never leaving the tile.
+  OpticsGrid grid;
+  grid.probe_n = static_cast<usize>(state.range(0));
+  const Propagator prop(grid);
+  const auto n = static_cast<index_t>(grid.probe_n);
+  CArray2D field(n, n);
+  field.fill(cplx(1, 0));
+  for (auto _ : state) {
+    prop.apply(field.view());
+    benchmark::DoNotOptimize(field.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * n));
+}
+BENCHMARK(BM_Fft2DPropagatorPair)->Arg(64);
 
 void BM_ProbeGradient(benchmark::State& state) {
   // One probe-location gradient on the tiny dataset: the inner loop of
@@ -224,7 +244,10 @@ void BM_BackendButterfly(benchmark::State& state, const backend::Kernels* kern) 
                           static_cast<std::int64_t>(4 * n * sizeof(cplx)));
 }
 
-void BM_BackendButterfly4(benchmark::State& state, const backend::Kernels* kern) {
+/// One radix-4 butterfly family with twiddles shared across lanes, as the
+/// strided FFT calls it: `dif` selects the forward (decimation in
+/// frequency) form, otherwise the inverse's decimation-in-time form.
+void backend_butterfly4(benchmark::State& state, const backend::Kernels* kern, bool dif) {
   const auto n = static_cast<usize>(state.range(0));
   const std::vector<cplx> x0_0 = backend_signal(n, 9);
   const std::vector<cplx> x1_0 = backend_signal(n, 10);
@@ -233,17 +256,13 @@ void BM_BackendButterfly4(benchmark::State& state, const backend::Kernels* kern)
   // Unit-magnitude twiddles, as in the real transform (and the radix-2
   // bench): growth per application stays bounded by the 4-point sum, so
   // the reset below fires long before float32 overflow.
-  const auto unit_twiddles = [n](int salt) {
-    std::vector<cplx> tw(n);
-    for (usize i = 0; i < n; ++i) {
-      const double angle = 0.1 * static_cast<double>(i + static_cast<usize>(salt));
-      tw[i] = cplx(static_cast<real>(std::cos(angle)), static_cast<real>(std::sin(angle)));
-    }
-    return tw;
+  const auto unit_root = [](double angle) {
+    return cplx(static_cast<real>(std::cos(angle)), static_cast<real>(std::sin(angle)));
   };
-  const std::vector<cplx> tw1 = unit_twiddles(13);
-  const std::vector<cplx> tw2 = unit_twiddles(14);
-  const std::vector<cplx> tw3 = unit_twiddles(15);
+  const cplx w1 = unit_root(-1.3);
+  const cplx w2 = unit_root(-1.4);
+  const cplx w3 = unit_root(-1.5);
+  const auto fly = dif ? kern->butterfly4_dif_lanes : kern->butterfly4_lanes;
   std::vector<cplx> x0 = x0_0;
   std::vector<cplx> x1 = x1_0;
   std::vector<cplx> x2 = x2_0;
@@ -261,25 +280,19 @@ void BM_BackendButterfly4(benchmark::State& state, const backend::Kernels* kern)
       applications = 0;
       state.ResumeTiming();
     }
-    kern->butterfly4_block(x0.data(), x1.data(), x2.data(), x3.data(), tw1.data(), tw2.data(),
-                           tw3.data(), false, n);
+    fly(x0.data(), x1.data(), x2.data(), x3.data(), w1, w2, w3, false, n);
     benchmark::DoNotOptimize(x0.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(8 * n * sizeof(cplx)));
 }
 
-void BM_BackendChirpMul(benchmark::State& state, const backend::Kernels* kern) {
-  const auto n = static_cast<usize>(state.range(0));
-  const std::vector<cplx> src = backend_signal(n, 7);
-  const std::vector<cplx> chirp = backend_signal(n, 8);
-  std::vector<cplx> dst(n);
-  for (auto _ : state) {
-    kern->chirp_mul_lanes(dst.data(), src.data(), chirp.data(), real(0.5), n);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(3 * n * sizeof(cplx)));
+void BM_BackendButterfly4(benchmark::State& state, const backend::Kernels* kern) {
+  backend_butterfly4(state, kern, /*dif=*/false);
+}
+
+void BM_BackendButterfly4Dif(benchmark::State& state, const backend::Kernels* kern) {
+  backend_butterfly4(state, kern, /*dif=*/true);
 }
 
 /// Registers every backend primitive benchmark for one kernel table.
@@ -291,7 +304,7 @@ void register_backend_benches(const backend::Kernels* kern) {
       {"BM_BackendAxpy", &BM_BackendAxpy},
       {"BM_BackendButterfly", &BM_BackendButterfly},
       {"BM_BackendButterfly4", &BM_BackendButterfly4},
-      {"BM_BackendChirpMul", &BM_BackendChirpMul},
+      {"BM_BackendButterfly4Dif", &BM_BackendButterfly4Dif},
   };
   for (const auto& [name, fn] : benches) {
     const std::string full = std::string(name) + "/" + kern->name;

@@ -1,8 +1,8 @@
 // Runtime-dispatched SIMD kernel backend.
 //
-// Every hot complex inner loop in the library (FFT butterflies, Bluestein
-// chirp products, Hadamard/axpy tensor ops, propagator and multislice
-// backprop kernels) calls through the `Kernels` table returned by
+// Every hot complex inner loop in the library (FFT butterflies, Hadamard/
+// axpy tensor ops, the spectral multiply and the multislice backprop
+// kernel) calls through the `Kernels` table returned by
 // `kernels()`. The table is selected once, lazily, from:
 //
 //   1. an explicit `select("scalar"|"simd"|"auto")` call (CLI `--backend`),
@@ -51,46 +51,42 @@ struct Kernels {
   /// dst[i] += cmul(alpha, src[i]).
   void (*axpy_lanes)(cplx* dst, const cplx* src, cplx alpha, usize n);
 
-  /// dst[i] = conj(src[i]) * s; dst may alias src (Bluestein inverse trick).
-  void (*conj_scale_lanes)(cplx* dst, const cplx* src, real s, usize n);
-
   /// Radix-2 butterfly with one twiddle shared across lanes:
   /// t = cmul(w, b[i]); b[i] = a[i] - t; a[i] += t. a and b must not
   /// overlap. The FFT runs the radix-4 forms below; perfbench times this
   /// one as the backend's butterfly probe (backend.butterfly_mb_per_s).
   void (*butterfly_lanes)(cplx* a, cplx* b, cplx w, usize n);
 
-  /// Radix-4 butterfly block with per-lane twiddles: the fusion of two
-  /// consecutive radix-2 stages (quarter-lengths h and 2h) over one
-  /// bit-reversal-ordered block. With w_j = conj_tw ? conj(tw_j[i]) : tw_j[i]:
+  /// Radix-4 decimation-in-time butterfly with twiddles shared across
+  /// lanes (the FFT's inverse): the fusion of two consecutive radix-2 DIT
+  /// stages (quarter-lengths h and 2h) over bit-reversed input.
   ///   u1 = cmul(w1, x1[i]); u2 = cmul(w2, x2[i]); u3 = cmul(w3, x3[i])
   ///   s0 = x0[i] + u1; s1 = x0[i] - u1; s2 = u2 + u3; s3 = u2 - u3
-  ///   r  = (conj_tw ? +i : -i) * s3   (exact re/im swap + sign flip)
+  ///   r  = (conj_rot ? +i : -i) * s3   (exact re/im swap + sign flip)
   ///   x0[i] = s0 + s2; x2[i] = s0 - s2; x1[i] = s1 + r; x3[i] = s1 - r
-  /// The four operand arrays must be pairwise non-overlapping.
-  void (*butterfly4_block)(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1,
-                           const cplx* tw2, const cplx* tw3, bool conj_tw, usize n);
-
-  /// Radix-4 butterfly block with twiddles shared across lanes (the strided
-  /// batched FFT). Callers pass already-conjugated twiddles for the inverse;
-  /// `conj_rot` selects the +i rotation (same exactness note as above).
+  /// Callers pass already-conjugated twiddles for the inverse. The four
+  /// operand arrays must be pairwise non-overlapping.
   void (*butterfly4_lanes)(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, cplx w3,
                            bool conj_rot, usize n);
 
-  /// Row-tiled Hadamard product between two strided 2-D tiles (the fused
-  /// spectral multiply of the 2-D FFT): for r < rows, c < cols
+  /// Radix-4 decimation-in-frequency butterfly (the FFT's forward), the
+  /// transpose of the DIT form above with the same twiddles: two radix-2
+  /// DIF stages (quarter-lengths 2h and h) over natural-order input.
+  ///   s0 = x0[i] + x2[i]; s1 = x0[i] - x2[i]
+  ///   s2 = x1[i] + x3[i]; s3 = x1[i] - x3[i]
+  ///   r  = (conj_rot ? +i : -i) * s3
+  ///   x0[i] = s0 + s2;             x1[i] = cmul(w1, s0 - s2)
+  ///   x2[i] = cmul(w2, s1 + r);    x3[i] = cmul(w3, s1 - r)
+  void (*butterfly4_dif_lanes)(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2,
+                               cplx w3, bool conj_rot, usize n);
+
+  /// Row-tiled Hadamard product between two strided 2-D tiles (the
+  /// spectral multiply the 2-D FFT runs on its tile): for r < rows, c < cols
   ///   dst[r*dst_stride + c] = conj_b ? cmul_conj(a[...], b[...])
   ///                                  : cmul(a[r*a_stride + c], b[r*b_stride + c]).
   /// dst may alias a (same pointer and stride); b must not overlap dst.
   void (*cmul_rows_tiled)(cplx* dst, usize dst_stride, const cplx* a, usize a_stride,
                           const cplx* b, usize b_stride, bool conj_b, usize rows, usize cols);
-
-  /// Bluestein chirp product: dst[i] = cmul(src[i] * s, chirp[i]).
-  void (*chirp_mul_lanes)(cplx* dst, const cplx* src, const cplx* chirp, real s, usize n);
-
-  /// Batched-Bluestein chirp product, one chirp value shared across lanes:
-  /// dst[i] = cmul(src[i] * s, alpha). dst may alias src.
-  void (*scale_chirp_lanes)(cplx* dst, const cplx* src, real s, cplx alpha, usize n);
 
   /// Fused multislice potential-model backprop step (one row):
   ///   gt        = cmul_conj(g[i], psi_in[i])

@@ -15,13 +15,10 @@ const Kernels& scalar_kernels() {
       &scalar::cmul_conj_acc_lanes,
       &scalar::scale_lanes,
       &scalar::axpy_lanes,
-      &scalar::conj_scale_lanes,
       &scalar::butterfly_lanes,
-      &scalar::butterfly4_block,
       &scalar::butterfly4_lanes,
+      &scalar::butterfly4_dif_lanes,
       &scalar::cmul_rows_tiled,
-      &scalar::chirp_mul_lanes,
-      &scalar::scale_chirp_lanes,
       &scalar::potential_backprop_lanes,
   };
   return table;

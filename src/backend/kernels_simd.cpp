@@ -107,16 +107,6 @@ void axpy_lanes(cplx* dst, const cplx* src, cplx alpha, usize n) {
   scalar::axpy_lanes(dst + i, src + i, alpha, n - i);
 }
 
-void conj_scale_lanes(cplx* dst, const cplx* src, real s, usize n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m256 c = _mm256_xor_ps(load8(src + i), sign_imag());
-    store8(dst + i, _mm256_mul_ps(c, vs));
-  }
-  scalar::conj_scale_lanes(dst + i, src + i, s, n - i);
-}
-
 void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
   const __m256 wr = _mm256_set1_ps(w.real());
   const __m256 wi = _mm256_set1_ps(w.imag());
@@ -128,34 +118,6 @@ void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
     store8(b + i, _mm256_sub_ps(u, t));
   }
   scalar::butterfly_lanes(a + i, b + i, w, n - i);
-}
-
-void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1, const cplx* tw2,
-                      const cplx* tw3, bool conj_tw, usize n) {
-  const __m256 conj_mask = conj_tw ? sign_imag() : _mm256_setzero_ps();
-  // -i*s = (s.im, -s.re): swap then negate odd lanes; +i*s: negate even lanes.
-  const __m256 rot_mask = conj_tw ? sign_real() : sign_imag();
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m256 w1 = _mm256_xor_ps(load8(tw1 + i), conj_mask);
-    const __m256 w2 = _mm256_xor_ps(load8(tw2 + i), conj_mask);
-    const __m256 w3 = _mm256_xor_ps(load8(tw3 + i), conj_mask);
-    const __m256 u1 = cmul8(w1, load8(x1 + i));
-    const __m256 u2 = cmul8(w2, load8(x2 + i));
-    const __m256 u3 = cmul8(w3, load8(x3 + i));
-    const __m256 z = load8(x0 + i);
-    const __m256 s0 = _mm256_add_ps(z, u1);
-    const __m256 s1 = _mm256_sub_ps(z, u1);
-    const __m256 s2 = _mm256_add_ps(u2, u3);
-    const __m256 s3 = _mm256_sub_ps(u2, u3);
-    const __m256 r = _mm256_xor_ps(_mm256_permute_ps(s3, 0xB1), rot_mask);
-    store8(x0 + i, _mm256_add_ps(s0, s2));
-    store8(x2 + i, _mm256_sub_ps(s0, s2));
-    store8(x1 + i, _mm256_add_ps(s1, r));
-    store8(x3 + i, _mm256_sub_ps(s1, r));
-  }
-  scalar::butterfly4_block(x0 + i, x1 + i, x2 + i, x3 + i, tw1 + i, tw2 + i, tw3 + i, conj_tw,
-                           n - i);
 }
 
 void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, cplx w3,
@@ -186,6 +148,34 @@ void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, 
   scalar::butterfly4_lanes(x0 + i, x1 + i, x2 + i, x3 + i, w1, w2, w3, conj_rot, n - i);
 }
 
+void butterfly4_dif_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, cplx w3,
+                          bool conj_rot, usize n) {
+  const __m256 w1r = _mm256_set1_ps(w1.real());
+  const __m256 w1i = _mm256_set1_ps(w1.imag());
+  const __m256 w2r = _mm256_set1_ps(w2.real());
+  const __m256 w2i = _mm256_set1_ps(w2.imag());
+  const __m256 w3r = _mm256_set1_ps(w3.real());
+  const __m256 w3i = _mm256_set1_ps(w3.imag());
+  const __m256 rot_mask = conj_rot ? sign_real() : sign_imag();
+  usize i = 0;
+  for (; i + kW <= n; i += kW) {
+    const __m256 a0 = load8(x0 + i);
+    const __m256 a1 = load8(x1 + i);
+    const __m256 a2 = load8(x2 + i);
+    const __m256 a3 = load8(x3 + i);
+    const __m256 s0 = _mm256_add_ps(a0, a2);
+    const __m256 s1 = _mm256_sub_ps(a0, a2);
+    const __m256 s2 = _mm256_add_ps(a1, a3);
+    const __m256 s3 = _mm256_sub_ps(a1, a3);
+    const __m256 r = _mm256_xor_ps(_mm256_permute_ps(s3, 0xB1), rot_mask);
+    store8(x0 + i, _mm256_add_ps(s0, s2));
+    store8(x1 + i, cmul_broadcast8(w1r, w1i, _mm256_sub_ps(s0, s2)));
+    store8(x2 + i, cmul_broadcast8(w2r, w2i, _mm256_add_ps(s1, r)));
+    store8(x3 + i, cmul_broadcast8(w3r, w3i, _mm256_sub_ps(s1, r)));
+  }
+  scalar::butterfly4_dif_lanes(x0 + i, x1 + i, x2 + i, x3 + i, w1, w2, w3, conj_rot, n - i);
+}
+
 void cmul_rows_tiled(cplx* dst, usize dst_stride, const cplx* a, usize a_stride, const cplx* b,
                      usize b_stride, bool conj_b, usize rows, usize cols) {
   for (usize r = 0; r < rows; ++r) {
@@ -201,27 +191,6 @@ void cmul_rows_tiled(cplx* dst, usize dst_stride, const cplx* a, usize a_stride,
       scalar::cmul_lanes(d + i, ar + i, br + i, cols - i);
     }
   }
-}
-
-void chirp_mul_lanes(cplx* dst, const cplx* src, const cplx* chirp, real s, usize n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m256 scaled = _mm256_mul_ps(load8(src + i), vs);
-    store8(dst + i, cmul8(scaled, load8(chirp + i)));
-  }
-  scalar::chirp_mul_lanes(dst + i, src + i, chirp + i, s, n - i);
-}
-
-void scale_chirp_lanes(cplx* dst, const cplx* src, real s, cplx alpha, usize n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  const __m256 wr = _mm256_set1_ps(alpha.real());
-  const __m256 wi = _mm256_set1_ps(alpha.imag());
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    store8(dst + i, cmul_broadcast8(wr, wi, _mm256_mul_ps(load8(src + i), vs)));
-  }
-  scalar::scale_chirp_lanes(dst + i, src + i, s, alpha, n - i);
 }
 
 void potential_backprop_lanes(cplx* grad_out, cplx* g, const cplx* psi_in, const cplx* trans,
@@ -248,13 +217,10 @@ constexpr Kernels kAvx2 = {
     &cmul_conj_acc_lanes,
     &scale_lanes,
     &axpy_lanes,
-    &conj_scale_lanes,
     &butterfly_lanes,
-    &butterfly4_block,
     &butterfly4_lanes,
+    &butterfly4_dif_lanes,
     &cmul_rows_tiled,
-    &chirp_mul_lanes,
-    &scale_chirp_lanes,
     &potential_backprop_lanes,
 };
 
@@ -359,15 +325,6 @@ void axpy_lanes(cplx* dst, const cplx* src, cplx alpha, usize n) {
   scalar::axpy_lanes(dst + i, src + i, alpha, n - i);
 }
 
-void conj_scale_lanes(cplx* dst, const cplx* src, real s, usize n) {
-  const float32x4_t vs = vdupq_n_f32(s);
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    store4(dst + i, vmulq_f32(flip_signs(load4(src + i), sign_imag()), vs));
-  }
-  scalar::conj_scale_lanes(dst + i, src + i, s, n - i);
-}
-
 void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
   const float32x4_t wr = vdupq_n_f32(w.real());
   const float32x4_t wi = vdupq_n_f32(w.imag());
@@ -379,34 +336,6 @@ void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
     store4(b + i, vsubq_f32(u, t));
   }
   scalar::butterfly_lanes(a + i, b + i, w, n - i);
-}
-
-void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1, const cplx* tw2,
-                      const cplx* tw3, bool conj_tw, usize n) {
-  const uint32x4_t conj_mask = conj_tw ? sign_imag() : vdupq_n_u32(0u);
-  // -i*s = (s.im, -s.re): swap then negate odd lanes; +i*s: negate even lanes.
-  const uint32x4_t rot_mask = conj_tw ? sign_real() : sign_imag();
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const float32x4_t w1 = flip_signs(load4(tw1 + i), conj_mask);
-    const float32x4_t w2 = flip_signs(load4(tw2 + i), conj_mask);
-    const float32x4_t w3 = flip_signs(load4(tw3 + i), conj_mask);
-    const float32x4_t u1 = cmul4(w1, load4(x1 + i));
-    const float32x4_t u2 = cmul4(w2, load4(x2 + i));
-    const float32x4_t u3 = cmul4(w3, load4(x3 + i));
-    const float32x4_t z = load4(x0 + i);
-    const float32x4_t s0 = vaddq_f32(z, u1);
-    const float32x4_t s1 = vsubq_f32(z, u1);
-    const float32x4_t s2 = vaddq_f32(u2, u3);
-    const float32x4_t s3 = vsubq_f32(u2, u3);
-    const float32x4_t r = flip_signs(vrev64q_f32(s3), rot_mask);
-    store4(x0 + i, vaddq_f32(s0, s2));
-    store4(x2 + i, vsubq_f32(s0, s2));
-    store4(x1 + i, vaddq_f32(s1, r));
-    store4(x3 + i, vsubq_f32(s1, r));
-  }
-  scalar::butterfly4_block(x0 + i, x1 + i, x2 + i, x3 + i, tw1 + i, tw2 + i, tw3 + i, conj_tw,
-                           n - i);
 }
 
 void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, cplx w3,
@@ -437,6 +366,34 @@ void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, 
   scalar::butterfly4_lanes(x0 + i, x1 + i, x2 + i, x3 + i, w1, w2, w3, conj_rot, n - i);
 }
 
+void butterfly4_dif_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, cplx w3,
+                          bool conj_rot, usize n) {
+  const float32x4_t w1r = vdupq_n_f32(w1.real());
+  const float32x4_t w1i = vdupq_n_f32(w1.imag());
+  const float32x4_t w2r = vdupq_n_f32(w2.real());
+  const float32x4_t w2i = vdupq_n_f32(w2.imag());
+  const float32x4_t w3r = vdupq_n_f32(w3.real());
+  const float32x4_t w3i = vdupq_n_f32(w3.imag());
+  const uint32x4_t rot_mask = conj_rot ? sign_real() : sign_imag();
+  usize i = 0;
+  for (; i + kW <= n; i += kW) {
+    const float32x4_t a0 = load4(x0 + i);
+    const float32x4_t a1 = load4(x1 + i);
+    const float32x4_t a2 = load4(x2 + i);
+    const float32x4_t a3 = load4(x3 + i);
+    const float32x4_t s0 = vaddq_f32(a0, a2);
+    const float32x4_t s1 = vsubq_f32(a0, a2);
+    const float32x4_t s2 = vaddq_f32(a1, a3);
+    const float32x4_t s3 = vsubq_f32(a1, a3);
+    const float32x4_t r = flip_signs(vrev64q_f32(s3), rot_mask);
+    store4(x0 + i, vaddq_f32(s0, s2));
+    store4(x1 + i, cmul_broadcast4(w1r, w1i, vsubq_f32(s0, s2)));
+    store4(x2 + i, cmul_broadcast4(w2r, w2i, vaddq_f32(s1, r)));
+    store4(x3 + i, cmul_broadcast4(w3r, w3i, vsubq_f32(s1, r)));
+  }
+  scalar::butterfly4_dif_lanes(x0 + i, x1 + i, x2 + i, x3 + i, w1, w2, w3, conj_rot, n - i);
+}
+
 void cmul_rows_tiled(cplx* dst, usize dst_stride, const cplx* a, usize a_stride, const cplx* b,
                      usize b_stride, bool conj_b, usize rows, usize cols) {
   for (usize r = 0; r < rows; ++r) {
@@ -452,27 +409,6 @@ void cmul_rows_tiled(cplx* dst, usize dst_stride, const cplx* a, usize a_stride,
       scalar::cmul_lanes(d + i, ar + i, br + i, cols - i);
     }
   }
-}
-
-void chirp_mul_lanes(cplx* dst, const cplx* src, const cplx* chirp, real s, usize n) {
-  const float32x4_t vs = vdupq_n_f32(s);
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const float32x4_t scaled = vmulq_f32(load4(src + i), vs);
-    store4(dst + i, cmul4(scaled, load4(chirp + i)));
-  }
-  scalar::chirp_mul_lanes(dst + i, src + i, chirp + i, s, n - i);
-}
-
-void scale_chirp_lanes(cplx* dst, const cplx* src, real s, cplx alpha, usize n) {
-  const float32x4_t vs = vdupq_n_f32(s);
-  const float32x4_t wr = vdupq_n_f32(alpha.real());
-  const float32x4_t wi = vdupq_n_f32(alpha.imag());
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    store4(dst + i, cmul_broadcast4(wr, wi, vmulq_f32(load4(src + i), vs)));
-  }
-  scalar::scale_chirp_lanes(dst + i, src + i, s, alpha, n - i);
 }
 
 void potential_backprop_lanes(cplx* grad_out, cplx* g, const cplx* psi_in, const cplx* trans,
@@ -497,13 +433,10 @@ constexpr Kernels kNeon = {
     &cmul_conj_acc_lanes,
     &scale_lanes,
     &axpy_lanes,
-    &conj_scale_lanes,
     &butterfly_lanes,
-    &butterfly4_block,
     &butterfly4_lanes,
+    &butterfly4_dif_lanes,
     &cmul_rows_tiled,
-    &chirp_mul_lanes,
-    &scale_chirp_lanes,
     &potential_backprop_lanes,
 };
 

@@ -33,39 +33,12 @@ inline void axpy_lanes(cplx* dst, const cplx* src, cplx alpha, usize n) {
   for (usize i = 0; i < n; ++i) dst[i] += cmul(alpha, src[i]);
 }
 
-inline void conj_scale_lanes(cplx* dst, const cplx* src, real s, usize n) {
-  for (usize i = 0; i < n; ++i) dst[i] = std::conj(src[i]) * s;
-}
-
 inline void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
   for (usize i = 0; i < n; ++i) {
     const cplx t = cmul(w, b[i]);
     const cplx u = a[i];
     a[i] = u + t;
     b[i] = u - t;
-  }
-}
-
-inline void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1,
-                             const cplx* tw2, const cplx* tw3, bool conj_tw, usize n) {
-  for (usize i = 0; i < n; ++i) {
-    const cplx w1 = conj_tw ? std::conj(tw1[i]) : tw1[i];
-    const cplx w2 = conj_tw ? std::conj(tw2[i]) : tw2[i];
-    const cplx w3 = conj_tw ? std::conj(tw3[i]) : tw3[i];
-    const cplx u1 = cmul(w1, x1[i]);
-    const cplx u2 = cmul(w2, x2[i]);
-    const cplx u3 = cmul(w3, x3[i]);
-    const cplx z = x0[i];
-    const cplx s0 = z + u1;
-    const cplx s1 = z - u1;
-    const cplx s2 = u2 + u3;
-    const cplx s3 = u2 - u3;
-    // The +-i rotation is an exact re/im swap with one sign flip.
-    const cplx r = conj_tw ? cplx(-s3.imag(), s3.real()) : cplx(s3.imag(), -s3.real());
-    x0[i] = s0 + s2;
-    x2[i] = s0 - s2;
-    x1[i] = s1 + r;
-    x3[i] = s1 - r;
   }
 }
 
@@ -88,6 +61,25 @@ inline void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cp
   }
 }
 
+inline void butterfly4_dif_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2,
+                                 cplx w3, bool conj_rot, usize n) {
+  for (usize i = 0; i < n; ++i) {
+    const cplx a0 = x0[i];
+    const cplx a1 = x1[i];
+    const cplx a2 = x2[i];
+    const cplx a3 = x3[i];
+    const cplx s0 = a0 + a2;
+    const cplx s1 = a0 - a2;
+    const cplx s2 = a1 + a3;
+    const cplx s3 = a1 - a3;
+    const cplx r = conj_rot ? cplx(-s3.imag(), s3.real()) : cplx(s3.imag(), -s3.real());
+    x0[i] = s0 + s2;
+    x1[i] = cmul(w1, s0 - s2);
+    x2[i] = cmul(w2, s1 + r);
+    x3[i] = cmul(w3, s1 - r);
+  }
+}
+
 inline void cmul_rows_tiled(cplx* dst, usize dst_stride, const cplx* a, usize a_stride,
                             const cplx* b, usize b_stride, bool conj_b, usize rows,
                             usize cols) {
@@ -98,14 +90,6 @@ inline void cmul_rows_tiled(cplx* dst, usize dst_stride, const cplx* a, usize a_
       cmul_lanes(dst + r * dst_stride, a + r * a_stride, b + r * b_stride, cols);
     }
   }
-}
-
-inline void chirp_mul_lanes(cplx* dst, const cplx* src, const cplx* chirp, real s, usize n) {
-  for (usize i = 0; i < n; ++i) dst[i] = cmul(src[i] * s, chirp[i]);
-}
-
-inline void scale_chirp_lanes(cplx* dst, const cplx* src, real s, cplx alpha, usize n) {
-  for (usize i = 0; i < n; ++i) dst[i] = cmul(src[i] * s, alpha);
 }
 
 inline void potential_backprop_lanes(cplx* grad_out, cplx* g, const cplx* psi_in,

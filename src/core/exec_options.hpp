@@ -71,7 +71,7 @@ struct ExecOptions {
 
 /// Interpret the shared execution flags out of parsed options, over
 /// `defaults`:
-///   --threads N            --scheduler auto|static|stealing
+///   --threads N            --scheduler auto|static|work-stealing|ws
 ///   --pipeline sync|async  --backend auto|simd|scalar
 ///   --checkpoint-dir PATH  --checkpoint-every N
 ///   --trace-out PATH       --metrics-out PATH       --progress N

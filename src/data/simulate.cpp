@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/random.hpp"
+#include "fft/plan.hpp"
 
 namespace ptycho {
 
@@ -53,6 +54,8 @@ Dataset make_synthetic_dataset(const DatasetSpec& spec, const SpecimenParams& sp
                                const AcquisitionParams& acq) {
   PTYCHO_REQUIRE(spec.scan.probe_n == static_cast<index_t>(spec.grid.probe_n),
                  "scan probe_n must match optics grid probe_n");
+  PTYCHO_REQUIRE(fft::is_pow2(spec.grid.probe_n),
+                 "grid.probe_n = " << spec.grid.probe_n << " is not a power of two");
   ScanPattern scan(spec.scan);
   Probe probe(spec.grid, spec.probe);
 

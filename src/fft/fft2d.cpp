@@ -19,31 +19,23 @@ void note_transform(usize rows, usize cols) {
 }
 }  // namespace
 
-Fft2D::Fft2D(usize rows, usize cols) : rows_(rows), cols_(cols), row_plan_(cols), col_plan_(rows) {
-  PTYCHO_REQUIRE(rows >= 1 && cols >= 1, "Fft2D extents must be >= 1");
-}
+Fft2D::Fft2D(usize rows, usize cols) : rows_(rows), cols_(cols), row_plan_(cols), col_plan_(rows) {}
 
-Fft2D::ScratchLease::~ScratchLease() {
-  std::lock_guard<std::mutex> lock(plan_.scratch_mutex_);
-  plan_.scratch_pool_.push_back(std::move(scratch_));
-}
-
-Fft2D::ScratchLease Fft2D::acquire_scratch() const {
+Fft2D::TileLease::TileLease(const Fft2D& plan) : plan_(plan) {
   {
-    std::lock_guard<std::mutex> lock(scratch_mutex_);
-    if (!scratch_pool_.empty()) {
-      std::unique_ptr<Scratch> scratch = std::move(scratch_pool_.back());
-      scratch_pool_.pop_back();
-      return ScratchLease(*this, std::move(scratch));
+    std::lock_guard<std::mutex> lock(plan_.tile_mutex_);
+    if (!plan_.tile_pool_.empty()) {
+      tile_ = std::move(plan_.tile_pool_.back());
+      plan_.tile_pool_.pop_back();
+      return;
     }
   }
-  const usize row_lanes = std::min(rows_, static_cast<usize>(kLanes));
-  const usize col_lanes = std::min(cols_, static_cast<usize>(kLanes));
-  auto scratch = std::make_unique<Scratch>();
-  scratch->row_tile.resize(cols_ * row_lanes);
-  scratch->row_bluestein.resize(row_plan_.strided_scratch_size(row_lanes));
-  scratch->col_bluestein.resize(col_plan_.strided_scratch_size(col_lanes));
-  return ScratchLease(*this, std::move(scratch));
+  tile_.resize(plan_.size());
+}
+
+Fft2D::TileLease::~TileLease() {
+  std::lock_guard<std::mutex> lock(plan_.tile_mutex_);
+  plan_.tile_pool_.push_back(std::move(tile_));
 }
 
 namespace {
@@ -65,60 +57,87 @@ void transpose_blocked(const cplx* src, usize src_stride, cplx* dst, usize dst_s
 }
 }  // namespace
 
-void Fft2D::transform_rows(View2D<cplx> field, bool fwd, const cplx* post_scale) const {
-  // Rows are not lanes in the field's layout, so up to kLanes of them are
-  // transposed into a lane-major tile, transformed by one strided call
-  // (every butterfly stage vectorizes across the rows, twiddle loads
-  // amortize over the batch) and transposed back.
-  const backend::Kernels& kern = backend::kernels();
-  const ScratchLease lease = acquire_scratch();
-  cplx* tile = lease.get().row_tile.data();
-  cplx* pad = lease.get().row_bluestein.empty() ? nullptr : lease.get().row_bluestein.data();
-  const auto rows = static_cast<usize>(field.rows());
-  const auto cols = static_cast<usize>(field.cols());
+void Fft2D::columns_to_tile(View2D<cplx> field, cplx* tile) const {
+  // Each block of up to kLanes columns transforms in place in the caller's
+  // field with no gather or scatter; its output rows sit at rev(ky).
   const auto stride = static_cast<usize>(field.row_stride());
-  for (usize y0 = 0; y0 < rows; y0 += kLanes) {
-    const usize b = std::min(static_cast<usize>(kLanes), rows - y0);
-    cplx* block = field.data() + y0 * stride;
-    transpose_blocked(block, stride, tile, b, b, cols);
-    if (fwd) {
-      row_plan_.forward_strided(tile, b, b, pad);
-    } else {
-      row_plan_.inverse_strided(tile, b, b, pad);
-    }
-    if (post_scale != nullptr) kern.scale_lanes(tile, tile, *post_scale, cols * b);
-    transpose_blocked(tile, b, block, stride, cols, b);
+  for (usize x0 = 0; x0 < cols_; x0 += kLanes) {
+    const usize b = std::min(static_cast<usize>(kLanes), cols_ - x0);
+    col_plan_.forward_dif(field.data() + x0, stride, b);
+  }
+  transpose_blocked(field.data(), stride, tile, rows_, rows_, cols_);
+}
+
+void Fft2D::tile_to_columns(const cplx* tile, View2D<cplx> field) const {
+  const auto stride = static_cast<usize>(field.row_stride());
+  transpose_blocked(tile, rows_, field.data(), stride, cols_, rows_);
+  for (usize x0 = 0; x0 < cols_; x0 += kLanes) {
+    const usize b = std::min(static_cast<usize>(kLanes), cols_ - x0);
+    col_plan_.inverse_dit(field.data() + x0, stride, b);
   }
 }
 
-void Fft2D::transform_cols(View2D<cplx> field, bool fwd, const MultiplySpec* mul) const {
-  // Columns already are lanes: element y of column x sits at
-  // y * row_stride + x, so each block of up to kLanes columns transforms
-  // in place in the caller's field with no gather or scatter. The fused
-  // multiply runs on the same block right before/after it.
+void Fft2D::tile_rows(cplx* tile, bool dif, const MultiplySpec* mul, bool dit) const {
+  // The tile is cols_ rows of rows_ lanes: each strided call transforms up
+  // to kLanes of the field's rows at once (twiddle loads amortize over the
+  // batch), and the spectral multiply meets the block while it is hot.
   const backend::Kernels& kern = backend::kernels();
-  const ScratchLease lease = acquire_scratch();
-  cplx* pad = lease.get().col_bluestein.empty() ? nullptr : lease.get().col_bluestein.data();
-  const auto rows = static_cast<usize>(field.rows());
-  const auto cols = static_cast<usize>(field.cols());
-  const auto stride = static_cast<usize>(field.row_stride());
-  for (usize x0 = 0; x0 < cols; x0 += kLanes) {
-    const usize b = std::min(static_cast<usize>(kLanes), cols - x0);
-    cplx* block = field.data() + x0;
-    if (mul != nullptr && mul->pre) {
-      kern.cmul_rows_tiled(block, stride, block, stride, mul->data + x0, mul->stride, mul->conj,
-                           rows, b);
+  for (usize l0 = 0; l0 < rows_; l0 += kLanes) {
+    const usize b = std::min(static_cast<usize>(kLanes), rows_ - l0);
+    cplx* block = tile + l0;
+    if (dif) row_plan_.forward_dif(block, rows_, b);
+    if (mul != nullptr) {
+      kern.cmul_rows_tiled(block, rows_, block, rows_, mul->data + l0, mul->stride, mul->conj,
+                           cols_, b);
     }
-    if (fwd) {
-      col_plan_.forward_strided(block, stride, b, pad);
-    } else {
-      col_plan_.inverse_strided(block, stride, b, pad);
+    if (dit) row_plan_.inverse_dit(block, rows_, b);
+  }
+}
+
+namespace {
+// Calls visit(ky, kx, offset) for every frequency, `offset` being its
+// position in a rows x cols spectral-layout tile. Bit reversal maps
+// disjoint bit fields independently, so rows c + j*rows/8 (j < 8) sit on
+// eight consecutive lanes and columns x0 + t (t < 8) on eight tile rows:
+// blocking by those groups touches eight cache lines on each side.
+template <typename Visit>
+void visit_spectral(const Plan1D& col_plan, const Plan1D& row_plan, Visit visit) {
+  constexpr usize kBlock = 8;
+  const usize rows = col_plan.size();
+  const usize cols = row_plan.size();
+  if (rows < kBlock || cols < kBlock) {
+    for (usize ky = 0; ky < rows; ++ky) {
+      for (usize kx = 0; kx < cols; ++kx) {
+        visit(ky, kx, row_plan.bitrev(kx) * rows + col_plan.bitrev(ky));
+      }
     }
-    if (mul != nullptr && !mul->pre) {
-      kern.cmul_rows_tiled(block, stride, block, stride, mul->data + x0, mul->stride, mul->conj,
-                           rows, b);
+    return;
+  }
+  const usize row_step = rows / kBlock;
+  for (usize c = 0; c < row_step; ++c) {
+    for (usize x0 = 0; x0 < cols; x0 += kBlock) {
+      const usize base = row_plan.bitrev(x0) * rows + col_plan.bitrev(c);
+      for (usize j = 0; j < kBlock; ++j) {
+        const usize lane = base + col_plan.bitrev(j * row_step);
+        for (usize t = 0; t < kBlock; ++t) {
+          visit(c + j * row_step, x0 + t, lane + row_plan.bitrev(t) * rows);
+        }
+      }
     }
   }
+}
+}  // namespace
+
+void Fft2D::tile_to_natural(const cplx* tile, real scale, View2D<cplx> out) const {
+  visit_spectral(col_plan_, row_plan_, [&](usize ky, usize kx, usize at) {
+    out(static_cast<index_t>(ky), static_cast<index_t>(kx)) = tile[at] * scale;
+  });
+}
+
+void Fft2D::natural_to_tile(View2D<const cplx> in, real scale, cplx* tile) const {
+  visit_spectral(col_plan_, row_plan_, [&](usize ky, usize kx, usize at) {
+    tile[at] = in(static_cast<index_t>(ky), static_cast<index_t>(kx)) * scale;
+  });
 }
 
 namespace {
@@ -129,51 +148,72 @@ void check_shape(View2D<const cplx> field, usize rows, usize cols, const char* w
 }
 }  // namespace
 
-void Fft2D::forward(View2D<cplx> field) const {
+void Fft2D::forward_impl(View2D<cplx> field, const MultiplySpec* mul, real scale,
+                         View2D<cplx> out) const {
+  check_shape(field, rows_, cols_, "field");
+  check_shape(out, rows_, cols_, "output");
+  note_transform(rows_, cols_);
+  TileLease tile(*this);
+  columns_to_tile(field, tile.data());
+  tile_rows(tile.data(), /*dif=*/true, mul, /*dit=*/false);
+  tile_to_natural(tile.data(), scale, out);
+}
+
+void Fft2D::inverse_impl(View2D<cplx> field, const MultiplySpec* mul, real scale) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
-  transform_rows(field, true, nullptr);
-  transform_cols(field, true, nullptr);
+  TileLease tile(*this);
+  natural_to_tile(field, scale, tile.data());
+  tile_rows(tile.data(), /*dif=*/false, mul, /*dit=*/true);
+  tile_to_columns(tile.data(), field);
 }
+
+void Fft2D::forward(View2D<cplx> field) const { forward_impl(field, nullptr, real(1), field); }
 
 void Fft2D::inverse(View2D<cplx> field) const {
-  check_shape(field, rows_, cols_, "field");
-  note_transform(rows_, cols_);
-  transform_cols(field, false, nullptr);
-  transform_rows(field, false, nullptr);
+  // 1/(rows*cols) is a power of two, so folding it into the entry transpose
+  // is exact: the same bits as scaling after the transform.
+  inverse_impl(field, nullptr, real(1) / static_cast<real>(size()));
 }
 
-void Fft2D::forward_multiply(View2D<cplx> field, View2D<const cplx> kernel,
-                             bool conj_kernel) const {
-  check_shape(field, rows_, cols_, "field");
-  check_shape(kernel, rows_, cols_, "kernel");
-  note_transform(rows_, cols_);
-  transform_rows(field, true, nullptr);
-  const MultiplySpec mul{kernel.data(), static_cast<usize>(kernel.row_stride()), conj_kernel,
-                         /*pre=*/false};
-  transform_cols(field, true, &mul);
-}
-
-void Fft2D::multiply_inverse(View2D<const cplx> kernel, View2D<cplx> field,
-                             bool conj_kernel) const {
-  check_shape(field, rows_, cols_, "field");
-  check_shape(kernel, rows_, cols_, "kernel");
-  note_transform(rows_, cols_);
-  const MultiplySpec mul{kernel.data(), static_cast<usize>(kernel.row_stride()), conj_kernel,
-                         /*pre=*/true};
-  transform_cols(field, false, &mul);
-  transform_rows(field, false, nullptr);
-}
+void Fft2D::adjoint_forward(View2D<cplx> field) const { inverse_impl(field, nullptr, real(1)); }
 
 void Fft2D::inverse_scale(View2D<cplx> field, cplx alpha) const {
-  check_shape(field, rows_, cols_, "field");
-  note_transform(rows_, cols_);
-  transform_cols(field, false, nullptr);
-  transform_rows(field, false, &alpha);
+  inverse(field);
+  const backend::Kernels& kern = backend::kernels();
+  for (index_t y = 0; y < field.rows(); ++y) {
+    kern.scale_lanes(field.row(y), field.row(y), alpha, cols_);
+  }
 }
 
-void Fft2D::adjoint_forward(View2D<cplx> field) const {
-  inverse_scale(field, cplx(static_cast<real>(size()), 0));
+void Fft2D::convolve(View2D<cplx> field, View2D<const cplx> spectral_kernel,
+                     bool conj_kernel) const {
+  check_shape(field, rows_, cols_, "field");
+  check_shape(spectral_kernel, cols_, rows_, "spectral kernel");
+  note_transform(rows_, cols_);
+  note_transform(rows_, cols_);
+  const MultiplySpec mul{spectral_kernel.data(), static_cast<usize>(spectral_kernel.row_stride()),
+                         conj_kernel};
+  TileLease tile(*this);
+  columns_to_tile(field, tile.data());
+  tile_rows(tile.data(), /*dif=*/true, &mul, /*dit=*/true);
+  tile_to_columns(tile.data(), field);
+}
+
+void Fft2D::forward_multiply(View2D<cplx> field, View2D<const cplx> spectral_kernel, real scale,
+                             View2D<cplx> out) const {
+  check_shape(spectral_kernel, cols_, rows_, "spectral kernel");
+  const MultiplySpec mul{spectral_kernel.data(), static_cast<usize>(spectral_kernel.row_stride()),
+                         false};
+  forward_impl(field, &mul, scale, out);
+}
+
+void Fft2D::multiply_inverse(View2D<const cplx> spectral_kernel, View2D<cplx> field,
+                             bool conj_kernel, real scale) const {
+  check_shape(spectral_kernel, cols_, rows_, "spectral kernel");
+  const MultiplySpec mul{spectral_kernel.data(), static_cast<usize>(spectral_kernel.row_stride()),
+                         conj_kernel};
+  inverse_impl(field, &mul, scale);
 }
 
 namespace {

@@ -1,170 +1,123 @@
 #include "fft/plan.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
+#include <utility>
 
 #include "backend/kernels.hpp"
 #include "common/error.hpp"
 
 namespace ptycho::fft {
 
-usize next_pow2(usize n) {
-  // Guard the doubling loop: for n above the largest representable power
-  // of two, p would wrap to 0 and the loop would never terminate.
-  constexpr usize kMaxPow2 = usize{1} << (std::numeric_limits<usize>::digits - 1);
-  PTYCHO_REQUIRE(n <= kMaxPow2,
-                 "next_pow2: no power of two >= " << n << " fits in usize");
-  usize p = 1;
-  while (p < n) p <<= 1;
-  return p;
+namespace {
+cplx unit_root(double numerator, double denominator) {
+  const double angle = -2.0 * 3.14159265358979323846 * numerator / denominator;
+  return cplx(static_cast<real>(std::cos(angle)), static_cast<real>(std::sin(angle)));
 }
 
-struct Plan1D::BluesteinTables {
-  usize m = 0;                      // padded pow2 size >= 2n-1
-  std::vector<cplx> chirp;          // a_k = exp(-iπ k² / n), k in [0, n)
-  std::vector<cplx> filter_fft;     // forward FFT of b (conjugate chirp, wrapped)
-  detail::Radix4Tables inner;       // radix-4 tables for size m
-};
-
-namespace {
-// Chirp phase exp(-iπ k² / n) evaluated in double with k² reduced mod 2n
-// (k² / n mod 2 is what matters for the complex exponential) to preserve
-// accuracy for large k.
-cplx chirp_value(usize k, usize n, int sign) {
-  const usize k2mod = static_cast<usize>(
-      (static_cast<unsigned long long>(k) * k) % (2ULL * n));
-  const double angle = sign * 3.14159265358979323846 * static_cast<double>(k2mod) /
-                       static_cast<double>(n);
-  return cplx(static_cast<real>(std::cos(angle)), static_cast<real>(std::sin(angle)));
+// The multiply-free radix-2 stage at half-length 1 (twiddle exp(0)): plain
+// add/sub pairs, not a unit-twiddle cmul, whose 0*x terms would flip signed
+// zeros. The loop over the contiguous lane dimension auto-vectorizes.
+void radix2_pairs(cplx* data, usize n, usize stride, usize count) {
+  for (usize base = 0; base < n; base += 2) {
+    cplx* a = data + base * stride;
+    cplx* b = a + stride;
+    for (usize lane = 0; lane < count; ++lane) {
+      const cplx u = a[lane];
+      const cplx t = b[lane];
+      a[lane] = u + t;
+      b[lane] = u - t;
+    }
+  }
 }
 }  // namespace
 
 Plan1D::Plan1D(usize n) : n_(n) {
-  PTYCHO_REQUIRE(n >= 1, "FFT size must be >= 1");
-  if (is_pow2(n)) {
-    pow2_ = std::make_unique<detail::Radix4Tables>(detail::make_radix4_tables(n));
-    return;
+  PTYCHO_REQUIRE(is_pow2(n), "FFT size must be a power of two, got " << n);
+  usize bits = 0;
+  while ((usize(1) << bits) < n) ++bits;
+  bitrev_.resize(n);
+  for (usize i = 0; i < n; ++i) {
+    usize r = 0;
+    for (usize b = 0; b < bits; ++b) {
+      if ((i >> b) & 1u) r |= usize(1) << (bits - 1 - b);
+    }
+    bitrev_[i] = r;
   }
-  bluestein_ = std::make_unique<BluesteinTables>();
-  auto& bt = *bluestein_;
-  bt.m = next_pow2(2 * n - 1);
-  bt.inner = detail::make_radix4_tables(bt.m);
-  bt.chirp.resize(n);
-  for (usize k = 0; k < n; ++k) bt.chirp[k] = chirp_value(k, n, -1);
-  // Filter b[j] = conj(chirp)[|j|] wrapped onto [0, m).
-  std::vector<cplx> filter(bt.m, cplx{});
-  for (usize k = 0; k < n; ++k) {
-    const cplx b = chirp_value(k, n, +1);
-    filter[k] = b;
-    if (k != 0) filter[bt.m - k] = b;
+  odd_log2_ = (bits % 2) != 0;
+  for (usize h = odd_log2_ ? 2 : 1; 4 * h <= n; h *= 4) {
+    stages_.push_back({h, tw_.size()});
+    tw_.resize(tw_.size() + 3 * h);
+    cplx* w1 = tw_.data() + stages_.back().offset;
+    cplx* w2 = w1 + h;
+    cplx* w3 = w2 + h;
+    for (usize k = 0; k < h; ++k) {
+      const auto dk = static_cast<double>(k);
+      const auto d4h = static_cast<double>(4 * h);
+      w1[k] = unit_root(2.0 * dk, d4h);
+      w2[k] = unit_root(dk, d4h);
+      w3[k] = unit_root(3.0 * dk, d4h);
+    }
   }
-  detail::radix4_transform(filter.data(), bt.m, -1, bt.inner);
-  bt.filter_fft = std::move(filter);
 }
 
-Plan1D::~Plan1D() = default;
-Plan1D::Plan1D(Plan1D&&) noexcept = default;
-Plan1D& Plan1D::operator=(Plan1D&&) noexcept = default;
+void Plan1D::forward_dif(cplx* data, usize stride, usize count) const {
+  PTYCHO_REQUIRE(count >= 1 && stride >= count, "strided batch: need stride >= count >= 1");
+  const backend::Kernels& kern = backend::kernels();
+  // Largest butterflies first: each (base, k) pair is one shared-twiddle
+  // butterfly across the batch, touching four lane rows per dispatched call.
+  for (auto st = stages_.rbegin(); st != stages_.rend(); ++st) {
+    const usize h = st->h;
+    const cplx* tw1 = tw_.data() + st->offset;
+    const cplx* tw2 = tw1 + h;
+    const cplx* tw3 = tw2 + h;
+    for (usize base = 0; base < n_; base += 4 * h) {
+      for (usize k = 0; k < h; ++k) {
+        cplx* p0 = data + (base + k) * stride;
+        kern.butterfly4_dif_lanes(p0, p0 + h * stride, p0 + 2 * h * stride, p0 + 3 * h * stride,
+                                  tw1[k], tw2[k], tw3[k], /*conj_rot=*/false, count);
+      }
+    }
+  }
+  if (odd_log2_) radix2_pairs(data, n_, stride, count);
+}
 
-namespace {
-thread_local std::vector<cplx> t_scratch;
+void Plan1D::inverse_dit(cplx* data, usize stride, usize count) const {
+  PTYCHO_REQUIRE(count >= 1 && stride >= count, "strided batch: need stride >= count >= 1");
+  const backend::Kernels& kern = backend::kernels();
+  if (odd_log2_) radix2_pairs(data, n_, stride, count);
+  for (const Stage& st : stages_) {
+    const usize h = st.h;
+    const cplx* tw1 = tw_.data() + st.offset;
+    const cplx* tw2 = tw1 + h;
+    const cplx* tw3 = tw2 + h;
+    for (usize base = 0; base < n_; base += 4 * h) {
+      for (usize k = 0; k < h; ++k) {
+        cplx* p0 = data + (base + k) * stride;
+        kern.butterfly4_lanes(p0, p0 + h * stride, p0 + 2 * h * stride, p0 + 3 * h * stride,
+                              std::conj(tw1[k]), std::conj(tw2[k]), std::conj(tw3[k]),
+                              /*conj_rot=*/true, count);
+      }
+    }
+  }
+}
+
+void Plan1D::bit_reverse(cplx* data) const {
+  for (usize i = 0; i < n_; ++i) {
+    const usize j = bitrev_[i];
+    if (i < j) std::swap(data[i], data[j]);
+  }
 }
 
 void Plan1D::forward(cplx* data) const {
-  if (pow2_) {
-    detail::radix4_transform(data, n_, -1, *pow2_);
-    return;
-  }
-  const auto& bt = *bluestein_;
-  const backend::Kernels& kern = backend::kernels();
-  t_scratch.assign(bt.m, cplx{});
-  kern.chirp_mul_lanes(t_scratch.data(), data, bt.chirp.data(), real(1), n_);
-  detail::radix4_transform(t_scratch.data(), bt.m, -1, bt.inner);
-  kern.cmul_lanes(t_scratch.data(), t_scratch.data(), bt.filter_fft.data(), bt.m);
-  detail::radix4_transform(t_scratch.data(), bt.m, +1, bt.inner);
-  const real inv_m = real(1) / static_cast<real>(bt.m);
-  kern.chirp_mul_lanes(data, t_scratch.data(), bt.chirp.data(), inv_m, n_);
+  forward_dif(data, 1, 1);
+  bit_reverse(data);
 }
 
 void Plan1D::inverse(cplx* data) const {
-  const backend::Kernels& kern = backend::kernels();
+  bit_reverse(data);
+  inverse_dit(data, 1, 1);
   const real inv_n = real(1) / static_cast<real>(n_);
-  if (pow2_) {
-    // The pow2 kernels take the sign directly: one conjugated-twiddle sweep
-    // plus one scale pass, instead of the two extra conjugation passes of
-    // the generic trick below.
-    detail::radix4_transform(data, n_, +1, *pow2_);
-    kern.scale_lanes(data, data, cplx(inv_n, 0), n_);
-    return;
-  }
-  // inverse(x) = conj(forward(conj(x))) / n — reuses the forward kernels so
-  // Bluestein sizes get the inverse for free.
-  kern.conj_scale_lanes(data, data, real(1), n_);
-  forward(data);
-  kern.conj_scale_lanes(data, data, inv_n, n_);
-}
-
-usize Plan1D::strided_scratch_size(usize count) const {
-  return bluestein_ ? bluestein_->m * count : 0;
-}
-
-void Plan1D::forward_strided(cplx* data, usize stride, usize count, cplx* scratch) const {
-  PTYCHO_REQUIRE(count >= 1 && stride >= count, "strided batch: need stride >= count >= 1");
-  if (pow2_) {
-    detail::radix4_transform_strided(data, n_, stride, count, -1, *pow2_);
-    return;
-  }
-  // Bluestein on the whole batch at once: the padded convolution runs
-  // through the strided pow2 kernel with the lanes packed contiguously.
-  PTYCHO_REQUIRE(scratch != nullptr, "strided batch: Bluestein sizes need caller scratch");
-  const auto& bt = *bluestein_;
-  const backend::Kernels& kern = backend::kernels();
-  std::fill_n(scratch, bt.m * count, cplx{});
-  for (usize k = 0; k < n_; ++k) {
-    kern.scale_lanes(scratch + k * count, data + k * stride, bt.chirp[k], count);
-  }
-  detail::radix4_transform_strided(scratch, bt.m, count, count, -1, bt.inner);
-  for (usize k = 0; k < bt.m; ++k) {
-    cplx* row = scratch + k * count;
-    kern.scale_lanes(row, row, bt.filter_fft[k], count);
-  }
-  detail::radix4_transform_strided(scratch, bt.m, count, count, +1, bt.inner);
-  const real inv_m = real(1) / static_cast<real>(bt.m);
-  for (usize k = 0; k < n_; ++k) {
-    kern.scale_chirp_lanes(data + k * stride, scratch + k * count, inv_m, bt.chirp[k], count);
-  }
-}
-
-void Plan1D::inverse_strided(cplx* data, usize stride, usize count, cplx* scratch) const {
-  PTYCHO_REQUIRE(count >= 1 && stride >= count, "strided batch: need stride >= count >= 1");
-  const backend::Kernels& kern = backend::kernels();
-  const real inv_n = real(1) / static_cast<real>(n_);
-  if (pow2_) {
-    // Direct conjugated-twiddle sweep + normalization, as in the contiguous
-    // inverse. A dense batch (stride == count, the 2-D tile layout) scales
-    // in one dispatched call over the whole tile.
-    detail::radix4_transform_strided(data, n_, stride, count, +1, *pow2_);
-    if (stride == count) {
-      kern.scale_lanes(data, data, cplx(inv_n, 0), n_ * count);
-    } else {
-      for (usize k = 0; k < n_; ++k) {
-        cplx* row = data + k * stride;
-        kern.scale_lanes(row, row, cplx(inv_n, 0), count);
-      }
-    }
-    return;
-  }
-  // Same conjugation trick as the contiguous Bluestein inverse, lane-wise.
-  for (usize k = 0; k < n_; ++k) {
-    cplx* row = data + k * stride;
-    kern.conj_scale_lanes(row, row, real(1), count);
-  }
-  forward_strided(data, stride, count, scratch);
-  for (usize k = 0; k < n_; ++k) {
-    cplx* row = data + k * stride;
-    kern.conj_scale_lanes(row, row, inv_n, count);
-  }
+  for (usize i = 0; i < n_; ++i) data[i] *= inv_n;
 }
 
 }  // namespace ptycho::fft

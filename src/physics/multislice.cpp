@@ -96,15 +96,15 @@ void MultisliceOperator::forward(const Probe& probe, const FramedVolume& volume,
   // The last slice's propagation would end with an inverse FFT that the
   // far-field forward immediately undoes; F(F^-1(x)) == x, so the
   // roundtrip is elided and the far field is formed directly as
-  //   far = (1/n) * H .* F(T_last .* psi)
-  // with H riding in the forward's last pass. The 1/n makes the far-field
-  // transform unitary: |far|^2 integrates to the exit-wave energy
-  // (Parseval), so measurement magnitudes and gradients are independent
-  // of the window size.
-  const cplx unitary(real(1) / static_cast<real>(grid_.probe_n), 0);
-  const auto lanes = static_cast<usize>(n) * static_cast<usize>(n);
-  propagator_.fft().forward_multiply(ws.psi.view(), propagator_.kernel().view());
-  backend::kernels().scale_lanes(ws.far.data(), ws.psi.data(), unitary, lanes);
+  //   far = (1/n) * H .* F(T_last .* psi) = n * H_s .* F(T_last .* psi)
+  // with H_s = H / n^2 the propagator's spectral kernel. The multiply runs
+  // on the FFT's tile and the exact power-of-two n rides in the permuting
+  // transpose that writes ws.far in natural order. The 1/n makes the
+  // far-field transform unitary: |far|^2 integrates to the exit-wave
+  // energy (Parseval), so measurement magnitudes and gradients are
+  // independent of the window size.
+  propagator_.fft().forward_multiply(ws.psi.view(), propagator_.spectral_kernel().view(),
+                                     static_cast<real>(grid_.probe_n), ws.far.view());
 }
 
 void MultisliceOperator::simulate_magnitude(const Probe& probe, const FramedVolume& volume,
@@ -169,15 +169,14 @@ double MultisliceOperator::cost_and_gradient(const Probe& probe, const FramedVol
   }
 
   // Back through the elided far field, the mirror of forward(): the
-  // adjoint of x -> (1/n) * H .* F(x) is g -> (1/n) * F^H(conj(H) .* g)
+  // adjoint of x -> n * H_s .* F(x) is g -> F^H(n * conj(H_s) .* g)
   // = n * F^-1(conj(H) .* g), since F^H = n^2 * F^-1 on an n x n window.
-  // The factor n (exact for the power-of-two probe windows) rides in the
-  // inverse's last pass.
+  // The seed enters the tile through the permuting transpose, carrying
+  // the exact power-of-two factor n.
   const index_t slices = volume.slices();
   const backend::Kernels& kern = backend::kernels();
-  const auto lanes = static_cast<usize>(n) * static_cast<usize>(n);
-  kern.cmul_conj_lanes(ws.grad.data(), ws.grad.data(), propagator_.kernel().data(), lanes);
-  propagator_.fft().inverse_scale(ws.grad.view(), cplx(static_cast<real>(grid_.probe_n), 0));
+  propagator_.fft().multiply_inverse(propagator_.spectral_kernel().view(), ws.grad.view(),
+                                     /*conj_kernel=*/true, static_cast<real>(grid_.probe_n));
 
   const real sigma = config_.sigma;
   for (index_t s = slices - 1; s >= 0; --s) {

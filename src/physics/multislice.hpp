@@ -7,7 +7,11 @@
 // undoes, so the operator elides that roundtrip and forms
 // Psi = (1/n) H .* FFT(t_last .* psi) directly (H the propagator kernel);
 // the adjoint mirrors it, so 4S - 2 FFTs run per cost-and-gradient
-// evaluation.
+// evaluation. Inside the chain every spectrum stays in the FFT's
+// spectral layout (transposed, bit-reversed; see fft/fft2d.hpp) and is
+// multiplied there by the propagator's one stored kernel. Only the far
+// field leaves the tile: Psi, the measurements it is compared with, the
+// cost and the gradient seed are all in natural order.
 // The per-probe cost is f_i(V) = sum_k ( |y_i[k]| - |Psi[k]| )^2 and the
 // gradient dF/dV is obtained by reverse-mode differentiation through the
 // slice chain. The gradient has support only inside the probe window —
@@ -37,7 +41,7 @@ struct MultisliceWorkspace {
   CArray2D psi;                    ///< current wavefield (probe_n x probe_n)
   std::vector<CArray2D> psi_in;    ///< wavefield entering each slice (pre-multiply)
   std::vector<CArray2D> trans;     ///< transmittance of each slice over the window
-  CArray2D far;                    ///< far-field wavefield FFT(psi_S)
+  CArray2D far;                    ///< far-field wavefield, natural order
   CArray2D grad;                   ///< backprop wavefield
   CArray2D scratch;
 
@@ -89,7 +93,8 @@ class MultisliceOperator {
 
   /// Run the forward model for the probe positioned at global rect
   /// `window` (probe_n x probe_n, inside V.frame). Leaves the far-field
-  /// wavefield in ws.far and the stored intermediates for backprop.
+  /// wavefield in ws.far and the stored intermediates for backprop;
+  /// ws.psi is scratch afterwards.
   void forward(const Probe& probe, const FramedVolume& volume, const Rect& window,
                MultisliceWorkspace& ws) const;
 

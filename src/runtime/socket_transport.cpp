@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -28,6 +29,12 @@ constexpr std::uint32_t kMagic = 0x50545946u;  // "PTYF"
 // payload) but finite, so a corrupt length field fails fast instead of
 // throwing std::bad_alloc off the progress thread.
 constexpr std::uint64_t kMaxFrameElems = 1ull << 28;
+
+// A payload is received in pieces of at most this many bytes, and its
+// buffer grows one piece at a time, so a corrupt length under
+// kMaxFrameElems costs at most one piece beyond the bytes that actually
+// arrived before the stream ends or the checksum rejects the frame.
+constexpr usize kRecvChunkBytes = usize{1} << 20;
 
 enum FrameType : std::uint32_t {
   kHello = 0,     ///< handshake: src = connector's rank
@@ -75,6 +82,20 @@ bool read_exact(int fd, void* buf, usize n) {
     }
     if (got < 0 && (errno == EINTR)) continue;
     return false;  // EOF (0) or hard error
+  }
+  return true;
+}
+
+/// Read a `count`-element payload in kRecvChunkBytes pieces, growing
+/// `payload` exactly (no capacity doubling) as each piece is due.
+bool read_payload(int fd, usize count, std::vector<cplx>& payload) {
+  constexpr usize kChunkElems = kRecvChunkBytes / sizeof(cplx);
+  while (payload.size() < count) {
+    const usize got = payload.size();
+    const usize step = std::min(kChunkElems, count - got);
+    payload.reserve(got + step);
+    payload.resize(got + step);
+    if (!read_exact(fd, payload.data() + got, step * sizeof(cplx))) return false;
   }
   return true;
 }
@@ -423,11 +444,8 @@ bool SocketTransport::read_frame(int peer_rank) {
     fail("corrupt frame (implausible payload size)", /*broadcast=*/true);
     return false;
   }
-  std::vector<cplx> payload(static_cast<usize>(header.count));
-  if (header.count > 0 &&
-      !read_exact(peer.fd, payload.data(), payload.size() * sizeof(cplx))) {
-    return false;
-  }
+  std::vector<cplx> payload;
+  if (!read_payload(peer.fd, static_cast<usize>(header.count), payload)) return false;
   if (header.checksum !=
       frame_checksum(header, payload.data(), payload.size() * sizeof(cplx))) {
     if (obs::metrics_enabled()) {

@@ -137,17 +137,6 @@ TEST(BackendBitwise, ScaleAndAxpyLanes) {
   });
 }
 
-TEST(BackendBitwise, ConjScaleLanes) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
-  for (const real s : {real(1), real(1) / real(100)}) {
-    expect_bitwise_all_sizes([s](const Kernels& k, cplx* dst, const cplx* a, const cplx* b,
-                                 usize n) {
-      (void)b;
-      k.conj_scale_lanes(dst, a, s, n);
-    });
-  }
-}
-
 TEST(BackendBitwise, ButterflyLanes) {
   if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
   const cplx w(real(0.70710678), real(-0.70710678));
@@ -171,47 +160,16 @@ TEST(BackendBitwise, ButterflyLanes) {
   }
 }
 
-TEST(BackendBitwise, Butterfly4Block) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
-  const Kernels& sc = scalar_kernels();
-  const Kernels& vec = *simd_kernels();
-  for (const usize n : kSizes) {
-    for (const usize offset : {usize{0}, usize{1}}) {
-      for (const bool conj_tw : {false, true}) {
-        const std::vector<cplx> tw1 = random_lanes(n + offset, 61 * n + 1);
-        const std::vector<cplx> tw2 = random_lanes(n + offset, 61 * n + 2);
-        const std::vector<cplx> tw3 = random_lanes(n + offset, 61 * n + 3);
-        const std::vector<cplx> x0 = random_lanes(n + offset, 67 * n + 1);
-        const std::vector<cplx> x1 = random_lanes(n + offset, 67 * n + 2);
-        const std::vector<cplx> x2 = random_lanes(n + offset, 67 * n + 3);
-        const std::vector<cplx> x3 = random_lanes(n + offset, 67 * n + 4);
-        std::vector<cplx> sc_out[4] = {x0, x1, x2, x3};
-        std::vector<cplx> vec_out[4] = {x0, x1, x2, x3};
-        sc.butterfly4_block(sc_out[0].data() + offset, sc_out[1].data() + offset,
-                            sc_out[2].data() + offset, sc_out[3].data() + offset,
-                            tw1.data() + offset, tw2.data() + offset, tw3.data() + offset,
-                            conj_tw, n);
-        vec.butterfly4_block(vec_out[0].data() + offset, vec_out[1].data() + offset,
-                             vec_out[2].data() + offset, vec_out[3].data() + offset,
-                             tw1.data() + offset, tw2.data() + offset, tw3.data() + offset,
-                             conj_tw, n);
-        for (int q = 0; q < 4; ++q) {
-          EXPECT_TRUE(bitwise_equal(sc_out[q].data(), vec_out[q].data(), n + offset))
-              << "n=" << n << " offset=" << offset << " conj=" << conj_tw << " quarter=" << q;
-        }
-      }
-    }
-  }
-}
-
-TEST(BackendBitwise, Butterfly4Lanes) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
+/// Both radix-4 butterfly families (the FFT's DIT inverse and DIF
+/// forward) at every width 1..67: whole vectors plus every remainder, on
+/// aligned and unaligned operands, for both rotation directions.
+void expect_butterfly4_bitwise(decltype(Kernels::butterfly4_lanes) Kernels::*fly) {
   const Kernels& sc = scalar_kernels();
   const Kernels& vec = *simd_kernels();
   const cplx w1(real(0.92387953), real(-0.38268343));
   const cplx w2(real(0.98078528), real(-0.19509032));
   const cplx w3(real(0.83146961), real(-0.55557023));
-  for (const usize n : kSizes) {
+  for (usize n = 1; n <= 67; ++n) {
     for (const usize offset : {usize{0}, usize{1}}) {
       for (const bool conj_rot : {false, true}) {
         const std::vector<cplx> x0 = random_lanes(n + offset, 71 * n + 1);
@@ -220,12 +178,11 @@ TEST(BackendBitwise, Butterfly4Lanes) {
         const std::vector<cplx> x3 = random_lanes(n + offset, 71 * n + 4);
         std::vector<cplx> sc_out[4] = {x0, x1, x2, x3};
         std::vector<cplx> vec_out[4] = {x0, x1, x2, x3};
-        sc.butterfly4_lanes(sc_out[0].data() + offset, sc_out[1].data() + offset,
-                            sc_out[2].data() + offset, sc_out[3].data() + offset, w1, w2, w3,
-                            conj_rot, n);
-        vec.butterfly4_lanes(vec_out[0].data() + offset, vec_out[1].data() + offset,
-                             vec_out[2].data() + offset, vec_out[3].data() + offset, w1, w2, w3,
-                             conj_rot, n);
+        (sc.*fly)(sc_out[0].data() + offset, sc_out[1].data() + offset,
+                  sc_out[2].data() + offset, sc_out[3].data() + offset, w1, w2, w3, conj_rot, n);
+        (vec.*fly)(vec_out[0].data() + offset, vec_out[1].data() + offset,
+                   vec_out[2].data() + offset, vec_out[3].data() + offset, w1, w2, w3, conj_rot,
+                   n);
         for (int q = 0; q < 4; ++q) {
           EXPECT_TRUE(bitwise_equal(sc_out[q].data(), vec_out[q].data(), n + offset))
               << "n=" << n << " offset=" << offset << " conj=" << conj_rot << " quarter=" << q;
@@ -233,6 +190,16 @@ TEST(BackendBitwise, Butterfly4Lanes) {
       }
     }
   }
+}
+
+TEST(BackendBitwise, Butterfly4Lanes) {
+  if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
+  expect_butterfly4_bitwise(&Kernels::butterfly4_lanes);
+}
+
+TEST(BackendBitwise, Butterfly4DifLanes) {
+  if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
+  expect_butterfly4_bitwise(&Kernels::butterfly4_dif_lanes);
 }
 
 TEST(BackendBitwise, CmulRowsTiled) {
@@ -273,24 +240,6 @@ TEST(BackendBitwise, CmulRowsTiled) {
   }
 }
 
-TEST(BackendBitwise, ChirpMulLanes) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
-  for (const real s : {real(1), real(1) / real(512)}) {
-    expect_bitwise_all_sizes([s](const Kernels& k, cplx* dst, const cplx* a, const cplx* b,
-                                 usize n) { k.chirp_mul_lanes(dst, a, b, s, n); });
-  }
-}
-
-TEST(BackendBitwise, ScaleChirpLanes) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
-  const cplx alpha(real(-0.8), real(0.6));
-  expect_bitwise_all_sizes([alpha](const Kernels& k, cplx* dst, const cplx* a, const cplx* b,
-                                   usize n) {
-    (void)b;
-    k.scale_chirp_lanes(dst, a, real(1) / real(640), alpha, n);
-  });
-}
-
 TEST(BackendBitwise, PotentialBackpropLanes) {
   if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
   const real sigma = real(0.00092);
@@ -319,9 +268,8 @@ std::vector<cplx> run_fft_1d(usize n, bool strided) {
   std::vector<cplx> data = random_lanes(strided ? n * 3 : n, 1000 + n);
   fft::Plan1D plan(n);
   if (strided) {
-    std::vector<cplx> scratch(plan.strided_scratch_size(3));
-    plan.forward_strided(data.data(), 3, 3, scratch.empty() ? nullptr : scratch.data());
-    plan.inverse_strided(data.data(), 3, 3, scratch.empty() ? nullptr : scratch.data());
+    plan.forward_dif(data.data(), 3, 3);
+    plan.inverse_dit(data.data(), 3, 3);
   } else {
     plan.forward(data.data());
     plan.inverse(data.data());
@@ -332,7 +280,7 @@ std::vector<cplx> run_fft_1d(usize n, bool strided) {
 TEST(BackendEndToEnd, FftBitwiseAcrossBackends) {
   if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
   BackendGuard guard;
-  for (const usize n : {usize{64}, usize{100}, usize{257}}) {
+  for (const usize n : {usize{64}, usize{128}, usize{512}}) {
     for (const bool strided : {false, true}) {
       ASSERT_TRUE(select("scalar"));
       const std::vector<cplx> got_scalar = run_fft_1d(n, strided);
@@ -347,7 +295,7 @@ TEST(BackendEndToEnd, FftBitwiseAcrossBackends) {
 TEST(BackendEndToEnd, Fft2DBitwiseAcrossBackends) {
   if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
   BackendGuard guard;
-  const index_t rows = 48, cols = 100;  // pow2 rows path + Bluestein cols path
+  const index_t rows = 32, cols = 128;  // two lane blocks along the columns
   CArray2D field(rows, cols);
   Rng rng(99);
   for (index_t y = 0; y < rows; ++y) {
@@ -355,13 +303,21 @@ TEST(BackendEndToEnd, Fft2DBitwiseAcrossBackends) {
       field(y, x) = cplx(static_cast<real>(rng.normal()), static_cast<real>(rng.normal()));
     }
   }
+  CArray2D kernel(cols, rows);  // spectral layout
+  for (index_t i = 0; i < kernel.size(); ++i) {
+    kernel.data()[i] = cplx(static_cast<real>(rng.normal()), static_cast<real>(rng.normal()));
+  }
   fft::Fft2D plan(static_cast<usize>(rows), static_cast<usize>(cols));
-  CArray2D a = field.clone();
-  ASSERT_TRUE(select("scalar"));
-  plan.forward(a.view());
-  CArray2D b = field.clone();
-  ASSERT_TRUE(select("simd"));
-  plan.forward(b.view());
+  const auto run = [&](const char* backend) {
+    EXPECT_TRUE(select(backend));
+    CArray2D out = field.clone();
+    plan.forward(out.view());
+    plan.convolve(out.view(), kernel.view(), /*conj_kernel=*/true);
+    plan.inverse(out.view());
+    return out;
+  };
+  const CArray2D a = run("scalar");
+  const CArray2D b = run("simd");
   EXPECT_TRUE(bitwise_equal(a.data(), b.data(), static_cast<usize>(rows * cols)));
 }
 

@@ -100,6 +100,15 @@ TEST(Dataset, SyntheticConsistent) {
   EXPECT_GT(dataset.volume_bytes(), 0u);
 }
 
+TEST(Dataset, SyntheticRejectsNonPow2Window) {
+  // The FFT engine is power-of-two only; the generator refuses other probe
+  // windows up front, the same rule io::load_dataset applies to headers.
+  DatasetSpec spec = repro_tiny_spec();
+  spec.grid.probe_n = 24;
+  spec.scan.probe_n = 24;
+  EXPECT_THROW((void)make_synthetic_dataset(spec), Error);
+}
+
 TEST(Dataset, MeasurementsAreNonNegativeAndFinite) {
   const Dataset& dataset = testing::tiny_dataset();
   for (const auto& m : dataset.measurements) {

@@ -1,8 +1,9 @@
 // Unit/property tests for src/fft: fast transforms vs the O(n^2)
-// reference, roundtrips, adjoint identities, shifts, the batched strided
-// lane passes, the radix-4 stage schedule, the fused spectral entry
-// points, strided window views, pinned output bits, and allocation-freedom
-// of the shift helpers.
+// reference, roundtrips, adjoint identities, shifts, the DIF/DIT lane
+// passes and their bit-reversed spectra, the spectral-layout entry points
+// (convolve and the fused far-field pair), strided window views, pinned
+// output bits, power-of-two-only plans, and allocation-freedom of the
+// shift helpers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -75,24 +76,6 @@ double rel_error(const std::vector<cplx>& a, const std::vector<cplx>& b) {
   return den > 0 ? std::sqrt(num / den) : std::sqrt(num);
 }
 
-TEST(FftHelpers, NextPow2) {
-  EXPECT_EQ(next_pow2(1), 1u);
-  EXPECT_EQ(next_pow2(2), 2u);
-  EXPECT_EQ(next_pow2(3), 4u);
-  EXPECT_EQ(next_pow2(63), 64u);
-  EXPECT_EQ(next_pow2(64), 64u);
-  EXPECT_EQ(next_pow2(65), 128u);
-}
-
-TEST(FftHelpers, NextPow2GuardsOverflow) {
-  // The largest representable power of two round-trips; anything above it
-  // must throw instead of looping forever on wrapped arithmetic.
-  constexpr usize top = usize{1} << (std::numeric_limits<usize>::digits - 1);
-  EXPECT_EQ(next_pow2(top), top);
-  EXPECT_THROW((void)next_pow2(top + 1), Error);
-  EXPECT_THROW((void)next_pow2(~usize{0}), Error);
-}
-
 TEST(FftHelpers, IsPow2) {
   EXPECT_TRUE(is_pow2(1));
   EXPECT_TRUE(is_pow2(1024));
@@ -110,9 +93,9 @@ TEST(FftHelpers, FftFreqOrdering) {
   EXPECT_DOUBLE_EQ(fft_freq(3, 5), -0.4);
 }
 
-// Property sweep: forward transform matches the direct DFT for power-of-
-// two (radix-4 path) and composite/prime (Bluestein path) sizes; 513 runs
-// Bluestein over a radix-4 inner size with odd log2 (1024 = 4^5).
+// Property sweep: the natural-order transform matches the direct DFT on
+// every power of two up to 512, both log2 parities (the odd ones add the
+// multiply-free radix-2 stage).
 class Plan1DMatchesReference : public ::testing::TestWithParam<usize> {};
 
 TEST_P(Plan1DMatchesReference, Forward) {
@@ -147,8 +130,7 @@ TEST_P(Plan1DMatchesReference, ParsevalEnergy) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, Plan1DMatchesReference,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 13, 16, 27, 32, 45, 64, 97,
-                                           128, 100, 256, 513));
+                         ::testing::Values(1, 2, 4, 8, 16, 32, 64, 128, 256, 512));
 
 TEST(Plan1D, ImpulseGivesFlatSpectrum) {
   Plan1D plan(16);
@@ -162,7 +144,7 @@ TEST(Plan1D, ImpulseGivesFlatSpectrum) {
 }
 
 TEST(Plan1D, LinearityProperty) {
-  const usize n = 24;  // Bluestein path
+  const usize n = 32;
   Plan1D plan(n);
   std::vector<cplx> a = random_signal(n, 1);
   std::vector<cplx> b = random_signal(n, 2);
@@ -178,8 +160,8 @@ TEST(Plan1D, LinearityProperty) {
 }
 
 TEST(Fft2D, MatchesSeparableReference) {
-  const usize rows = 6;
-  const usize cols = 8;
+  const usize rows = 8;
+  const usize cols = 16;
   Fft2D plan(rows, cols);
   CArray2D field(static_cast<index_t>(rows), static_cast<index_t>(cols));
   Rng rng(42);
@@ -309,8 +291,9 @@ TEST(Fft2D, ShiftMatchesRolledCopyOddAndEven) {
   }
 }
 
-// The blocked column pass and the batched strided Plan1D must agree with
-// the naive one-column-at-a-time path for both kernel families.
+// The batched strided pair must agree bitwise with the contiguous
+// natural-order transform lane by lane: the DIF leaves frequency k at
+// rev(k), and the DIT reads it from there.
 class BlockedColumns : public ::testing::TestWithParam<usize> {};
 
 TEST_P(BlockedColumns, BatchedPlanMatchesScalarPerLane) {
@@ -328,18 +311,26 @@ TEST_P(BlockedColumns, BatchedPlanMatchesScalarPerLane) {
     for (usize j = 0; j < n; ++j) lanes[lane][j] = batched[j * count + lane];
     plan.forward(lanes[lane].data());
   }
-  std::vector<cplx> scratch(plan.strided_scratch_size(count));
-  plan.forward_strided(batched.data(), count, count, scratch.data());
+  plan.forward_dif(batched.data(), count, count);
+  int mismatches = 0;
   for (usize lane = 0; lane < count; ++lane) {
-    double err = 0.0;
-    double den = 0.0;
-    for (usize j = 0; j < n; ++j) {
-      err += std::norm(std::complex<double>(batched[j * count + lane]) -
-                       std::complex<double>(lanes[lane][j]));
-      den += std::norm(std::complex<double>(lanes[lane][j]));
+    for (usize k = 0; k < n; ++k) {
+      const cplx& got = batched[plan.bitrev(k) * count + lane];
+      if (std::memcmp(&got, &lanes[lane][k], sizeof(cplx)) != 0) ++mismatches;
     }
-    EXPECT_LT(std::sqrt(err / std::max(den, 1e-300)), 1e-5) << "n=" << n << " lane=" << lane;
   }
+  EXPECT_EQ(mismatches, 0) << "forward n=" << n;
+  // The DIT takes the bit-reversed spectrum straight back, unnormalized.
+  for (usize lane = 0; lane < count; ++lane) plan.inverse(lanes[lane].data());
+  plan.inverse_dit(batched.data(), count, count);
+  const real nn = static_cast<real>(n);  // undoes inverse's 1/n exactly
+  for (usize lane = 0; lane < count; ++lane) {
+    for (usize j = 0; j < n; ++j) {
+      const cplx want = lanes[lane][j] * nn;
+      if (std::memcmp(&batched[j * count + lane], &want, sizeof(cplx)) != 0) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "inverse n=" << n;
 }
 
 TEST_P(BlockedColumns, Fft2DMatchesNaivePerColumnPath) {
@@ -382,10 +373,19 @@ TEST_P(BlockedColumns, Fft2DMatchesNaivePerColumnPath) {
       << "n=" << n;
 }
 
-INSTANTIATE_TEST_SUITE_P(Pow2AndBluestein, BlockedColumns,
-                         ::testing::Values(8, 64, 100));  // radix-4 and chirp-z paths
+// 128 spans two lane blocks in both passes.
+INSTANTIATE_TEST_SUITE_P(Pow2, BlockedColumns, ::testing::Values(8, 64, 128));
 
-// ---- radix-4 stage schedule and the fused spectral entry points ------------
+TEST(Plan1D, RejectsNonPow2Sizes) {
+  for (const usize n : {usize{0}, usize{3}, usize{12}, usize{100}, usize{513}}) {
+    EXPECT_THROW(Plan1D{n}, Error) << "n=" << n;
+  }
+  EXPECT_THROW(Fft2D(17, 64), Error);
+  EXPECT_THROW(Fft2D(64, 100), Error);
+  EXPECT_THROW(Fft2D(0, 8), Error);
+}
+
+// ---- radix-4 stage schedule and the spectral-layout entry points -----------
 
 bool bitwise_equal(const cplx* a, const cplx* b, usize n) {
   return n == 0 || std::memcmp(a, b, n * sizeof(cplx)) == 0;
@@ -402,8 +402,23 @@ CArray2D random_field(index_t rows, index_t cols, std::uint64_t seed) {
   return field;
 }
 
+/// The natural-order view of a spectral-layout kernel: out(ky, kx) =
+/// spectral[spectral_index(ky, kx)].
+CArray2D natural_order(const Fft2D& plan, View2D<const cplx> spectral) {
+  const auto rows = static_cast<index_t>(plan.rows());
+  const auto cols = static_cast<index_t>(plan.cols());
+  CArray2D out(rows, cols);
+  for (index_t ky = 0; ky < rows; ++ky) {
+    for (index_t kx = 0; kx < cols; ++kx) {
+      const usize at = plan.spectral_index(static_cast<usize>(ky), static_cast<usize>(kx));
+      out(ky, kx) = spectral.row(static_cast<index_t>(at / plan.rows()))[at % plan.rows()];
+    }
+  }
+  return out;
+}
+
 // Radix-4 vs the direct DFT across every power of two 4..1024 — both log2
-// parities, so the leading radix-2 fallback stage is covered.
+// parities, so the radix-2 stage is covered.
 class Radix4MatchesReference : public ::testing::TestWithParam<usize> {};
 
 TEST_P(Radix4MatchesReference, ForwardAndRoundtrip) {
@@ -421,47 +436,56 @@ TEST_P(Radix4MatchesReference, ForwardAndRoundtrip) {
 INSTANTIATE_TEST_SUITE_P(Pow2Sizes4To1024, Radix4MatchesReference,
                          ::testing::Values(4, 8, 16, 32, 64, 128, 256, 512, 1024));
 
-// The fused entry points must be bitwise-equal to their composed two-step
-// sequences on the same plan: the fold moves the same
-// dispatched per-element ops onto a cache-resident block, it must not
-// change one bit. Shapes cover pow2, Bluestein and mixed extents, whole
-// Fft2D::kLanes blocks (64x64) and a partial last lane block (100x72).
+// The fused entry points must be bitwise-equal to their composed
+// natural-order sequences on the same plan: the multiply and the scale move
+// onto the tile and the permuting transpose, the per-element operations do
+// not change. Shapes cover square and rectangular extents of both log2
+// parities, whole Fft2D::kLanes blocks (64x64) and two lane blocks (128).
 class FusedEntryPoints : public ::testing::TestWithParam<std::pair<index_t, index_t>> {};
 
 TEST_P(FusedEntryPoints, ForwardMultiplyBitwiseEqualsComposed) {
   const auto [rows, cols] = GetParam();
   Fft2D plan(static_cast<usize>(rows), static_cast<usize>(cols));
   const CArray2D input = random_field(rows, cols, 900 + static_cast<usize>(rows * cols));
-  const CArray2D kernel = random_field(rows, cols, 901 + static_cast<usize>(rows * cols));
-  const backend::Kernels& kern = backend::kernels();
-  for (const bool conj : {false, true}) {
-    CArray2D composed = input.clone();
-    plan.forward(composed.view());
-    kern.cmul_rows_tiled(composed.data(), static_cast<usize>(cols), composed.data(),
-                         static_cast<usize>(cols), kernel.data(), static_cast<usize>(cols),
-                         conj, static_cast<usize>(rows), static_cast<usize>(cols));
-    CArray2D fused = input.clone();
-    plan.forward_multiply(fused.view(), kernel.view(), conj);
-    EXPECT_TRUE(bitwise_equal(fused.data(), composed.data(),
-                              static_cast<usize>(rows * cols)))
-        << rows << "x" << cols << " conj=" << conj;
-  }
+  const CArray2D kernel = random_field(cols, rows, 901 + static_cast<usize>(rows * cols));
+  const CArray2D natural = natural_order(plan, kernel.view());
+  const real scale = real(0.125);
+  CArray2D composed = input.clone();
+  plan.forward(composed.view());
+  backend::kernels().cmul_rows_tiled(composed.data(), static_cast<usize>(cols), composed.data(),
+                                     static_cast<usize>(cols), natural.data(),
+                                     static_cast<usize>(cols), false, static_cast<usize>(rows),
+                                     static_cast<usize>(cols));
+  for (index_t i = 0; i < composed.size(); ++i) composed.data()[i] *= scale;
+  // Into a separate output (the far field's form) and in place.
+  CArray2D field = input.clone();
+  CArray2D out(rows, cols);
+  plan.forward_multiply(field.view(), kernel.view(), scale, out.view());
+  EXPECT_TRUE(bitwise_equal(out.data(), composed.data(), static_cast<usize>(rows * cols)))
+      << rows << "x" << cols;
+  CArray2D fused = input.clone();
+  plan.forward_multiply(fused.view(), kernel.view(), scale, fused.view());
+  EXPECT_TRUE(bitwise_equal(fused.data(), composed.data(), static_cast<usize>(rows * cols)))
+      << "in place " << rows << "x" << cols;
 }
 
 TEST_P(FusedEntryPoints, MultiplyInverseBitwiseEqualsComposed) {
   const auto [rows, cols] = GetParam();
   Fft2D plan(static_cast<usize>(rows), static_cast<usize>(cols));
   const CArray2D input = random_field(rows, cols, 910 + static_cast<usize>(rows * cols));
-  const CArray2D kernel = random_field(rows, cols, 911 + static_cast<usize>(rows * cols));
-  const backend::Kernels& kern = backend::kernels();
+  const CArray2D kernel = random_field(cols, rows, 911 + static_cast<usize>(rows * cols));
+  const CArray2D natural = natural_order(plan, kernel.view());
+  const real scale = real(4);
   for (const bool conj : {false, true}) {
     CArray2D composed = input.clone();
-    kern.cmul_rows_tiled(composed.data(), static_cast<usize>(cols), composed.data(),
-                         static_cast<usize>(cols), kernel.data(), static_cast<usize>(cols),
-                         conj, static_cast<usize>(rows), static_cast<usize>(cols));
-    plan.inverse(composed.view());
+    for (index_t i = 0; i < composed.size(); ++i) composed.data()[i] *= scale;
+    backend::kernels().cmul_rows_tiled(composed.data(), static_cast<usize>(cols), composed.data(),
+                                       static_cast<usize>(cols), natural.data(),
+                                       static_cast<usize>(cols), conj, static_cast<usize>(rows),
+                                       static_cast<usize>(cols));
+    plan.adjoint_forward(composed.view());
     CArray2D fused = input.clone();
-    plan.multiply_inverse(kernel.view(), fused.view(), conj);
+    plan.multiply_inverse(kernel.view(), fused.view(), conj, scale);
     EXPECT_TRUE(bitwise_equal(fused.data(), composed.data(),
                               static_cast<usize>(rows * cols)))
         << rows << "x" << cols << " conj=" << conj;
@@ -480,29 +504,110 @@ TEST_P(FusedEntryPoints, ScaleVariantsBitwiseEqualComposed) {
   plan.inverse_scale(fused.view(), alpha);
   EXPECT_TRUE(bitwise_equal(fused.data(), composed.data(), static_cast<usize>(rows * cols)))
       << "inverse_scale " << rows << "x" << cols;
+  // The unnormalized inverse is inverse * size() to the bit (the scale is a
+  // power of two).
+  CArray2D adjoint = input.clone();
+  plan.adjoint_forward(adjoint.view());
+  CArray2D inverse = input.clone();
+  plan.inverse(inverse.view());
+  scale(cplx(static_cast<real>(rows * cols), 0), inverse.view());
+  EXPECT_TRUE(bitwise_equal(adjoint.data(), inverse.data(), static_cast<usize>(rows * cols)))
+      << "adjoint_forward " << rows << "x" << cols;
+}
+
+TEST_P(FusedEntryPoints, ConvolveBitwiseEqualsFusedPair) {
+  // convolve keeps the spectrum in the tile; leaving it through the
+  // natural-order exit and re-entering through the permuting transpose
+  // moves the same values, so the two agree to the bit.
+  const auto [rows, cols] = GetParam();
+  Fft2D plan(static_cast<usize>(rows), static_cast<usize>(cols));
+  const CArray2D input = random_field(rows, cols, 930 + static_cast<usize>(rows * cols));
+  const CArray2D kernel = random_field(cols, rows, 931 + static_cast<usize>(rows * cols));
+  for (const bool conj : {false, true}) {
+    CArray2D pair = input.clone();
+    if (conj) {
+      plan.forward(pair.view());
+      plan.multiply_inverse(kernel.view(), pair.view(), true);
+    } else {
+      plan.forward_multiply(pair.view(), kernel.view(), real(1), pair.view());
+      plan.adjoint_forward(pair.view());
+    }
+    CArray2D fused = input.clone();
+    plan.convolve(fused.view(), kernel.view(), conj);
+    EXPECT_TRUE(bitwise_equal(fused.data(), pair.data(), static_cast<usize>(rows * cols)))
+        << rows << "x" << cols << " conj=" << conj;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, FusedEntryPoints,
                          ::testing::Values(std::pair<index_t, index_t>{32, 16},
-                                           std::pair<index_t, index_t>{24, 20},
-                                           std::pair<index_t, index_t>{8, 100},
-                                           std::pair<index_t, index_t>{17, 64},
+                                           std::pair<index_t, index_t>{16, 32},
+                                           std::pair<index_t, index_t>{8, 128},
+                                           std::pair<index_t, index_t>{16, 64},
                                            std::pair<index_t, index_t>{64, 64},
-                                           std::pair<index_t, index_t>{100, 72}));
+                                           std::pair<index_t, index_t>{128, 64}));
+
+// convolve against the textbook natural-order path: forward, multiply by H,
+// normalized inverse, with H / (rows * cols) stored in the spectral layout.
+// Square and rectangular power-of-two shapes 8..256; the field is a window
+// view (row_stride > cols) into a larger array.
+class ConvolveMatchesNatural : public ::testing::TestWithParam<std::pair<index_t, index_t>> {};
+
+TEST_P(ConvolveMatchesNatural, WithinSinglePrecision) {
+  const auto [rows, cols] = GetParam();
+  Fft2D plan(static_cast<usize>(rows), static_cast<usize>(cols));
+  const auto seed = static_cast<std::uint64_t>(rows * 1000 + cols);
+  const CArray2D h = random_field(rows, cols, seed);
+  CArray2D spectral(cols, rows);
+  const real inv_size = real(1) / static_cast<real>(rows * cols);
+  for (index_t ky = 0; ky < rows; ++ky) {
+    for (index_t kx = 0; kx < cols; ++kx) {
+      spectral.data()[plan.spectral_index(static_cast<usize>(ky), static_cast<usize>(kx))] =
+          h(ky, kx) * inv_size;
+    }
+  }
+  const CArray2D outer = random_field(rows + 3, cols + 5, seed + 1);
+  for (const bool conj : {false, true}) {
+    CArray2D expected = outer.clone();
+    View2D<cplx> ev = expected.sub(2, 3, rows, cols);
+    plan.forward(ev);
+    for (index_t y = 0; y < rows; ++y) {
+      for (index_t x = 0; x < cols; ++x) {
+        ev(y, x) *= conj ? std::conj(h(y, x)) : h(y, x);
+      }
+    }
+    plan.inverse(ev);
+    CArray2D got = outer.clone();
+    plan.convolve(got.sub(2, 3, rows, cols), spectral.view(), conj);
+    EXPECT_LT(std::sqrt(diff_norm_sq(got.view(), expected.view()) / norm_sq(expected.view())),
+              1e-5)
+        << rows << "x" << cols << " conj=" << conj;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ConvolveMatchesNatural,
+    ::testing::Values(std::pair<index_t, index_t>{8, 8}, std::pair<index_t, index_t>{16, 16},
+                      std::pair<index_t, index_t>{32, 32}, std::pair<index_t, index_t>{64, 64},
+                      std::pair<index_t, index_t>{128, 128},
+                      std::pair<index_t, index_t>{256, 256}, std::pair<index_t, index_t>{8, 256},
+                      std::pair<index_t, index_t>{256, 8}, std::pair<index_t, index_t>{16, 64},
+                      std::pair<index_t, index_t>{128, 32}));
 
 TEST(Fft2DRowPass, BitwiseMatchesPerRowPlan1D) {
   // Both 2-D passes run every lane through the per-element operation
   // sequence of the contiguous 1-D transform (same stage schedule, same
-  // dispatched kernels), so a forward must agree bitwise with Plan1D over
-  // every row, then every gathered column, and an inverse with the same
-  // steps in reverse. Shapes cover partial and whole lane blocks on
-  // power-of-two and Bluestein extents.
+  // dispatched kernels), and the permuting transposes only move values, so
+  // a forward must agree bitwise with Plan1D over every column, then every
+  // row, and an inverse with Plan1D over every row, then every column (the
+  // power-of-two normalizations commute exactly). Shapes cover partial and
+  // whole lane blocks.
   for (const auto& [rows, cols] : {std::pair<index_t, index_t>{16, 16},
-                                   {20, 8},
-                                   {12, 100},
-                                   {33, 32},
+                                   {32, 8},
+                                   {16, 128},
+                                   {32, 32},
                                    {64, 64},
-                                   {100, 72}}) {
+                                   {128, 64}}) {
     Fft2D plan(static_cast<usize>(rows), static_cast<usize>(cols));
     Plan1D row_plan(static_cast<usize>(cols));
     Plan1D col_plan(static_cast<usize>(rows));
@@ -522,37 +627,39 @@ TEST(Fft2DRowPass, BitwiseMatchesPerRowPlan1D) {
     CArray2D a = input.clone();
     CArray2D ref = input.clone();
     plan.forward(a.view());
-    for (index_t y = 0; y < rows; ++y) row_plan.forward(ref.row(y));
     column_pass(ref, true);
+    for (index_t y = 0; y < rows; ++y) row_plan.forward(ref.row(y));
     EXPECT_TRUE(bitwise_equal(a.data(), ref.data(), static_cast<usize>(rows * cols)))
         << "forward " << rows << "x" << cols;
     plan.inverse(a.view());
-    column_pass(ref, false);
     for (index_t y = 0; y < rows; ++y) row_plan.inverse(ref.row(y));
+    column_pass(ref, false);
     EXPECT_TRUE(bitwise_equal(a.data(), ref.data(), static_cast<usize>(rows * cols)))
         << "inverse " << rows << "x" << cols;
   }
 }
 
 TEST(Fft2D, StridedWindowMatchesCompactCopyAndLeavesMarginUntouched) {
-  // The column pass transforms the caller's memory in place, so a window
+  // The column passes transform the caller's memory in place, so a window
   // view (row_stride > cols) must give the same bits as a compact copy,
-  // and not one element outside the window may change. The kernel is a
-  // window view too, so the fused multiply reads through its own stride.
+  // and not one element outside the window may change. The spectral
+  // kernel is a window view too, so the tile multiply reads through its
+  // own stride.
   for (const auto& [rows, cols] :
-       {std::pair<index_t, index_t>{64, 64}, {17, 64}, {8, 100}, {100, 72}}) {
+       {std::pair<index_t, index_t>{64, 64}, {16, 64}, {8, 128}, {128, 64}}) {
     const auto seed = static_cast<usize>(rows * cols);
     const CArray2D outer = random_field(rows + 3, cols + 5, 940 + seed);
-    const CArray2D kernel_outer = random_field(rows + 2, cols + 7, 941 + seed);
-    const View2D<const cplx> kernel = kernel_outer.sub(1, 4, rows, cols);
+    const CArray2D kernel_outer = random_field(cols + 2, rows + 7, 941 + seed);
+    const View2D<const cplx> kernel = kernel_outer.sub(1, 4, cols, rows);
     Fft2D plan(static_cast<usize>(rows), static_cast<usize>(cols));
     const cplx alpha(real(0.37), real(-0.81));
     const std::vector<std::pair<const char*, std::function<void(View2D<cplx>)>>> entry_points = {
         {"forward", [&](View2D<cplx> f) { plan.forward(f); }},
         {"inverse", [&](View2D<cplx> f) { plan.inverse(f); }},
-        {"forward_multiply", [&](View2D<cplx> f) { plan.forward_multiply(f, kernel); }},
-        {"multiply_inverse", [&](View2D<cplx> f) { plan.multiply_inverse(kernel, f, true); }},
+        {"forward_multiply", [&](View2D<cplx> f) { plan.forward_multiply(f, kernel, 2, f); }},
+        {"multiply_inverse", [&](View2D<cplx> f) { plan.multiply_inverse(kernel, f, true, 2); }},
         {"inverse_scale", [&](View2D<cplx> f) { plan.inverse_scale(f, alpha); }},
+        {"convolve", [&](View2D<cplx> f) { plan.convolve(f, kernel); }},
     };
     for (const auto& [name, run] : entry_points) {
       CArray2D windowed = outer.clone();
@@ -580,11 +687,12 @@ TEST(Fft2D, StridedWindowMatchesCompactCopyAndLeavesMarginUntouched) {
 // ---- pinned output bits ------------------------------------------------------
 //
 // CRC-32 of the output bytes of every 2-D entry point. The literals were
-// produced by the earlier 16-column gather / 16-row transpose passes, so
-// they pin the bits across any rework of the pass structure. Inputs are
-// exact multiples of 2^-12 drawn from raw generator bits, so the pinned
-// bytes depend on no libm call in the test itself. Outputs are hashed in
-// host byte order: the literals hold on little-endian hosts.
+// produced when the engine moved to the DIF forward / DIT inverse pair
+// with the spectrum kept in the tile; they pin the bits across any later
+// rework of the pass structure. The kernel is read in the spectral layout.
+// Inputs are exact multiples of 2^-12 drawn from raw generator bits, so the
+// pinned bytes depend on no libm call in the test itself. Outputs are
+// hashed in host byte order: the literals hold on little-endian hosts.
 
 CArray2D exact_field(index_t rows, index_t cols, std::uint64_t seed) {
   CArray2D field(rows, cols);
@@ -609,6 +717,7 @@ struct GoldenCase {
   std::uint32_t forward_multiply;
   std::uint32_t multiply_inverse;  // conjugated kernel
   std::uint32_t inverse_scale;
+  std::uint32_t convolve;
 };
 
 void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.rows << "x" << c.cols; }
@@ -620,7 +729,7 @@ TEST_P(Fft2DGolden, EntryPointOutputsMatchPinnedCrc) {
   const GoldenCase& c = GetParam();
   const auto seed = static_cast<std::uint64_t>(c.rows * 1000 + c.cols);
   const CArray2D input = exact_field(c.rows, c.cols, seed);
-  const CArray2D kernel = exact_field(c.rows, c.cols, seed + 1);
+  const CArray2D kernel = exact_field(c.cols, c.rows, seed + 1);
   const cplx alpha(real(0.375), real(-0.8125));
   Fft2D plan(static_cast<usize>(c.rows), static_cast<usize>(c.cols));
   const auto crc_after = [&input](const auto& run) {
@@ -633,18 +742,19 @@ TEST_P(Fft2DGolden, EntryPointOutputsMatchPinnedCrc) {
     os << "0x" << std::hex << std::uppercase << v;
     return os.str();
   };
-  const std::uint32_t got[5] = {
+  const std::uint32_t got[6] = {
       crc_after([&](View2D<cplx> f) { plan.forward(f); }),
       crc_after([&](View2D<cplx> f) { plan.inverse(f); }),
-      crc_after([&](View2D<cplx> f) { plan.forward_multiply(f, kernel.view()); }),
+      crc_after([&](View2D<cplx> f) { plan.forward_multiply(f, kernel.view(), 1, f); }),
       crc_after([&](View2D<cplx> f) { plan.multiply_inverse(kernel.view(), f, true); }),
       crc_after([&](View2D<cplx> f) { plan.inverse_scale(f, alpha); }),
+      crc_after([&](View2D<cplx> f) { plan.convolve(f, kernel.view()); }),
   };
-  const std::uint32_t want[5] = {c.forward, c.inverse, c.forward_multiply, c.multiply_inverse,
-                                 c.inverse_scale};
-  const char* names[5] = {"forward", "inverse", "forward_multiply", "multiply_inverse",
-                          "inverse_scale"};
-  for (int i = 0; i < 5; ++i) {
+  const std::uint32_t want[6] = {c.forward,          c.inverse,       c.forward_multiply,
+                                 c.multiply_inverse, c.inverse_scale, c.convolve};
+  const char* names[6] = {"forward",          "inverse",       "forward_multiply",
+                          "multiply_inverse", "inverse_scale", "convolve"};
+  for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(hex(got[i]), hex(want[i])) << names[i] << " " << c.rows << "x" << c.cols;
   }
 }
@@ -652,37 +762,35 @@ TEST_P(Fft2DGolden, EntryPointOutputsMatchPinnedCrc) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, Fft2DGolden,
     ::testing::Values(
-    GoldenCase{64, 64, 0x7F8965BDu, 0x3F24DDC4u, 0xD00D11A7u,
-               0x37C9E168u, 0x457EE869u},
-    GoldenCase{128, 128, 0x29C299D1u, 0xCEB37026u, 0x9982BB3Bu,
-               0xD91C779Fu, 0x3E148F9Au},
-    GoldenCase{17, 64, 0xEC76C6EFu, 0x9EDE6226u, 0x218A58B8u,
-               0x65669674u, 0x741BFAF7u},
-    GoldenCase{8, 100, 0xEB08FF26u, 0x68A5ED3Cu, 0xA38819EAu,
-               0x47E0A367u, 0xE202DC82u},
-    GoldenCase{100, 72, 0xC11CEB60u, 0x72D8A65Au, 0x53F35951u,
-               0x3AEDA63Eu, 0xF6923033u}));
+    GoldenCase{64, 64, 0x6B8AFBE5u, 0xCAA54CB0u, 0x3ED2AC6Cu,
+               0x5C64B826u, 0x90D317A7u, 0xC7919C9Au},
+    GoldenCase{128, 128, 0x4397FAD4u, 0x1A774AC2u, 0x2FF2A114u,
+               0x17846482u, 0x68A43223u, 0x69B97CB2u},
+    GoldenCase{16, 64, 0x184D20D4u, 0xB497F4B7u, 0x9B7D2626u,
+               0xBEFC0F11u, 0xEBA6F7F5u, 0x37C97130u},
+    GoldenCase{8, 128, 0x30296AEBu, 0xEDFDB76Cu, 0x6374A8F1u,
+               0x9C1F6699u, 0xC5EF1538u, 0xC6F013B9u},
+    GoldenCase{128, 64, 0xA0B2D970u, 0xE1A378A9u, 0x104FF411u,
+               0xA91EDF2Bu, 0x3FC8C9F8u, 0xC1EA0E22u}));
 
 TEST(Fft2D, OnePlanSharedAcrossConcurrentThreads) {
   // One plan, four threads, each transforming its own field: the pooled
-  // scratch must keep them independent (run under TSan to verify raciness,
-  // value-compare here). 100 exercises the Bluestein pad in the pool too.
-  for (const usize n : {64, 100}) {
+  // tiles must keep them independent (run under TSan to verify raciness,
+  // value-compare here). 128 runs two lane blocks per pass.
+  for (const usize n : {64, 128}) {
     Fft2D plan(n, n);
     const auto ni = static_cast<index_t>(n);
-    CArray2D input(ni, ni);
-    Rng rng(n);
-    for (index_t y = 0; y < ni; ++y) {
-      for (index_t x = 0; x < ni; ++x) {
-        input(y, x) = cplx(static_cast<real>(rng.normal()), static_cast<real>(rng.normal()));
-      }
-    }
+    const CArray2D input = random_field(ni, ni, n);
+    // A spectral kernel carries the pair's 1/n^2, so repeats stay bounded.
+    CArray2D kernel = random_field(ni, ni, n + 1);
+    scale(cplx(real(1) / static_cast<real>(n * n), 0), kernel.view());
     // Expected: the exact op sequence each thread will run, applied
     // sequentially — concurrent execution must be bitwise indistinguishable.
-    const auto transform_sequence = [&plan](CArray2D& field) {
+    const auto transform_sequence = [&plan, &kernel](CArray2D& field) {
       for (int rep = 0; rep < 8; ++rep) {
         plan.forward(field.view());
         plan.inverse(field.view());
+        plan.convolve(field.view(), kernel.view(), rep % 2 == 1);
       }
       plan.forward(field.view());
     };

@@ -14,6 +14,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -29,6 +31,36 @@
 #include "core/exec_options.hpp"
 #include "runtime/cluster.hpp"
 #include "test_util.hpp"
+
+// Largest single heap allocation since the last reset: replaces the
+// default operator new/delete for this test binary so the corrupt-length
+// test can see how much a hostile frame header made the receiver allocate.
+namespace {
+std::atomic<std::size_t> g_max_alloc{0};
+}  // namespace
+
+// GCC flags free() on memory from (our replaced) operator new as a
+// mismatch; the pairing is intentional — both sides of it live right here.
+#if defined(__GNUC__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  std::size_t seen = g_max_alloc.load(std::memory_order_relaxed);
+  while (seen < size && !g_max_alloc.compare_exchange_weak(seen, size)) {
+  }
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace ptycho {
 namespace {
@@ -249,42 +281,53 @@ TEST(SocketTransport, ExchangeBarrierAndStatsAcrossRanks) {
   }
 }
 
+struct WireHeader {  // mirrors the transport's frame header
+  std::uint32_t magic = 0x50545946u;
+  std::uint32_t type = 0;  // kHello
+  std::int32_t src = 1;
+  std::int32_t dst = 0;
+  std::int64_t tag = 0;
+  std::uint64_t count = 0;
+  std::uint32_t generation = 0;
+  std::uint32_t checksum = 0;  // CRC32 of the header with this field zeroed
+};
+static_assert(sizeof(WireHeader) == 40);
+
+/// A hand-rolled "rank 1": connects to rank 0's listener on `port` and
+/// completes the mesh handshake. Returns the socket (-1 on failure).
+int impostor_handshake(int port) {
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(static_cast<std::uint16_t>(port));
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  int fd = -1;
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) == 0) break;
+    ::close(fd);
+    fd = -1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (fd < 0) return -1;
+  WireHeader hello;
+  hello.checksum = crc32(&hello, sizeof(hello));
+  if (::send(fd, &hello, sizeof(hello), 0) != static_cast<ssize_t>(sizeof(hello))) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 TEST(SocketTransport, DeadPeerWithoutShutdownPoisonsTheFabric) {
-  // A hand-rolled "rank 1" that completes the mesh handshake and then
+  // An impostor rank 1 that completes the mesh handshake and then
   // vanishes without a shutdown frame — the wire-level signature of a
   // killed process. Rank 0's blocked receive must abort with RankFailure
   // (the same teardown FaultPlan recovery catches), not hang.
-  struct WireHeader {  // mirrors the transport's frame header
-    std::uint32_t magic = 0x50545946u;
-    std::uint32_t type = 0;  // kHello
-    std::int32_t src = 1;
-    std::int32_t dst = 0;
-    std::int64_t tag = 0;
-    std::uint64_t count = 0;
-    std::uint32_t generation = 0;
-    std::uint32_t checksum = 0;  // CRC32 of the header with this field zeroed
-  };
-  static_assert(sizeof(WireHeader) == 40);
-
   const std::vector<int> ports = reserve_ports(2);
   std::thread impostor([&] {
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(static_cast<std::uint16_t>(ports[0]));
-    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    int fd = -1;
-    for (int attempt = 0; attempt < 500; ++attempt) {
-      fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      ASSERT_GE(fd, 0);
-      if (::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) == 0) break;
-      ::close(fd);
-      fd = -1;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
+    const int fd = impostor_handshake(ports[0]);
     ASSERT_GE(fd, 0) << "never reached rank 0's listener";
-    WireHeader hello;
-    hello.checksum = crc32(&hello, sizeof(hello));
-    ASSERT_EQ(::send(fd, &hello, sizeof(hello), 0), static_cast<ssize_t>(sizeof(hello)));
     // Die abruptly: close with no shutdown frame.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     ::close(fd);
@@ -295,6 +338,43 @@ TEST(SocketTransport, DeadPeerWithoutShutdownPoisonsTheFabric) {
   EXPECT_THROW((void)fabric.recv(0, 1, rt::make_tag(rt::Phase::kTest, 0)), rt::RankFailure);
   EXPECT_TRUE(fabric.poisoned());
   impostor.join();
+}
+
+TEST(SocketTransport, CorruptFrameLengthAllocatesOnlyWhatArrives) {
+  // The impostor sends a data header claiming 2^27 elements (1 GiB, under
+  // the frame-size cap), 2.5 MiB of payload, then closes. The receive must
+  // end in a clean RankFailure, and the receiver may never have allocated
+  // more than the bytes that arrived plus one 1 MiB receive chunk.
+  constexpr std::size_t kSent = (std::size_t{5} << 20) / 2;
+  constexpr std::size_t kChunk = std::size_t{1} << 20;
+  const std::vector<int> ports = reserve_ports(2);
+  std::thread impostor([&] {
+    const int fd = impostor_handshake(ports[0]);
+    ASSERT_GE(fd, 0) << "never reached rank 0's listener";
+    WireHeader data;
+    data.type = 1;  // kData
+    data.count = std::uint64_t{1} << 27;
+    std::vector<char> bytes(sizeof(data) + kSent, 0x11);
+    std::memcpy(bytes.data(), &data, sizeof(data));
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+      if (n <= 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+    EXPECT_EQ(off, bytes.size());
+    ::close(fd);
+  });
+
+  rt::TransportOptions opts = socket_options(0, ports);
+  g_max_alloc.store(0);
+  {
+    rt::Fabric fabric(rt::make_transport(opts, 2));
+    EXPECT_THROW((void)fabric.recv(0, 1, rt::make_tag(rt::Phase::kTest, 0)), rt::RankFailure);
+    EXPECT_TRUE(fabric.poisoned());
+  }
+  impostor.join();
+  EXPECT_LE(g_max_alloc.load(), kSent + kChunk);
 }
 
 // ---- the acceptance property: bitwise parity across transports -------------
